@@ -46,6 +46,7 @@ pub use reactor::{io_uring_available, BackendKind, BACKEND_ENV};
 
 use connslab::{Handle, Slab};
 use faults::DrainReport;
+use httpcore::reply::MAX_IOVECS;
 use httpcore::{
     ContentStore, HeadPool, LifecyclePolicy, Method, ParseError, ParseOutcome, ReplyQueue,
     RequestParser, RequestPool, Status, Version,
@@ -54,7 +55,7 @@ use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, ShardCell, ShardGauges, Sta
 use parking_lot::Mutex;
 use reactor::backend::{Backend, Cqe, CqeKind, SubmitError};
 use reactor::{DeadlineWheel, Interest, Token, Waker};
-use std::io::{self, Read};
+use std::io::{self, IoSlice, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -759,7 +760,7 @@ struct Conn {
     stream: TcpStream,
     parser: RequestParser,
     /// Staged output: (head, arena-slice) response segments, flushed
-    /// zero-copy via `write_vectored`.
+    /// zero-copy by `write_vectored` or a completion backend's write op.
     out: ReplyQueue,
     /// Close once the output drains (HTTP/1.0 or Connection: close or 400).
     close_after_flush: bool,
@@ -777,8 +778,9 @@ struct Conn {
     /// connection, mirroring read interest on the readiness path).
     read_inflight: bool,
     /// Completion backends: a write op is in flight (at most one per
-    /// connection). While set, the submitted chunk's bytes are still
-    /// staged in `out` — [`ReplyQueue::consume`] runs only on `WriteDone`.
+    /// connection). While set, the op points into `out`'s staged bytes —
+    /// [`ReplyQueue::consume`] runs only on its `WriteDone`, or on the byte
+    /// count `deregister` returns in `close_conn`.
     write_inflight: bool,
     /// Last observed progress (read bytes or write drain), ns since the
     /// worker epoch. The idle deadline slides from here.
@@ -899,8 +901,10 @@ struct ShardState {
 /// accept). The connection's selector token is its packed slab handle, so
 /// event dispatch is an O(1) indexed load with a generation check — a stale
 /// event for a closed-and-reused slot misses instead of aliasing the new
-/// occupant. Returns `None` when selector registration failed (the slot is
-/// reclaimed and the stream drops, closing the socket).
+/// occupant. On a completion backend the first read is armed here — such a
+/// backend reports nothing for a connection with no op in flight. Returns
+/// `None` when selector registration failed (the slot is reclaimed and the
+/// stream drops, closing the socket).
 #[allow(clippy::too_many_arguments)]
 fn install_conn(
     stream: TcpStream,
@@ -911,6 +915,7 @@ fn install_conn(
     epoch: Instant,
     wheel: &mut DeadlineWheel<usize>,
     policy: &LifecyclePolicy,
+    pump_retry: &mut Vec<Token>,
 ) -> Option<Handle> {
     let fd = stream.as_raw_fd();
     let handle = conns.insert(Conn {
@@ -937,12 +942,81 @@ fn install_conn(
     }
     gauges.add(GaugeKind::OpenConns, 1);
     gauges.add(GaugeKind::RegisteredConns, 1);
+    let conn = conns.get_mut(handle).expect("just inserted");
     if deadlines_on {
-        let conn = conns.get_mut(handle).expect("just inserted");
         conn.last_activity_ns = epoch.elapsed().as_nanos() as u64;
         rearm_deadline(wheel, conn, handle.raw() as usize, policy);
     }
+    if backend.kind().is_completion() {
+        pump_conn(backend, conn, Token(handle.raw() as usize), pump_retry);
+    }
     Some(handle)
+}
+
+/// Where a worker's connection teardowns are counted. Built once per
+/// worker; `draining` is refreshed every loop pass.
+struct Tally<'a> {
+    ctl: &'a NioCtl,
+    stats: &'a NioStats,
+    gauges: &'a LiveGauges,
+    ends: &'a LiveEnds,
+    /// The shard's gauge cell (sharded mode only).
+    cell: Option<Arc<ShardCell>>,
+    draining: bool,
+}
+
+/// Tear down one connection — the one way a connection leaves a worker.
+/// `deregister` is synchronous, so once it returns no completion for the
+/// fd can surface and the caller may drop the `Conn`; the bytes an
+/// in-flight write moved come back and are consumed first, so the 408
+/// below never re-sends them. `cause` is the expired deadline, if any
+/// (`None`: an event-path or drain close). While draining, the close
+/// counts as aborted when output is still owed, drained otherwise.
+fn close_conn(
+    conn: &mut Conn,
+    cause: Option<EndCause>,
+    backend: &mut dyn Backend,
+    tally: &Tally,
+    date: &str,
+    head_pool: &mut HeadPool,
+) {
+    let moved = match backend.deregister(conn.stream.as_raw_fd()) {
+        Ok(n) => n,
+        // The backend could not reap the fd's ops: a write may still point
+        // into the staged replies, so they leak rather than free.
+        Err(_) => {
+            std::mem::forget(std::mem::take(&mut conn.out));
+            0
+        }
+    };
+    conn.out.consume(moved, head_pool);
+    tally.stats.bytes_sent.fetch_add(moved as u64, Ordering::Relaxed);
+    if let Some(cause) = cause {
+        tally.ends.record(cause);
+        if matches!(cause, EndCause::HeaderTimeout) {
+            // Answer the half-sent request before closing: the head is
+            // tiny, one non-blocking shot delivers it unless the attacker
+            // also jammed the send buffer.
+            respond_status(conn, Status::RequestTimeout, date, head_pool);
+            let _ = flush_output(conn, tally.stats, head_pool);
+        } else {
+            // Idle / write-stall: abortive close — httpd2's observable
+            // behaviour, the Fig-3 reset stream.
+            let _ = set_linger_zero(&conn.stream);
+        }
+    }
+    if tally.draining {
+        if conn.wants_write() {
+            tally.ctl.aborted.fetch_add(1, Ordering::SeqCst);
+        } else {
+            tally.ctl.drained.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    tally.gauges.sub(GaugeKind::OpenConns, 1);
+    tally.gauges.sub(GaugeKind::RegisteredConns, 1);
+    if let Some(cell) = &tally.cell {
+        cell.on_close();
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -964,12 +1038,12 @@ fn worker_loop(
     } = seat;
     stats.alive_workers.fetch_add(1, Ordering::SeqCst);
     // One backend per worker: readiness (epoll/poll `Ready` events, worker
-    // does its own non-blocking I/O) or completion (submit/reap with
-    // backend-owned buffers). `IoUring` may fall back to epoll readiness
-    // when the kernel refuses the ring — `is_completion` reflects what
-    // actually runs.
-    let mut backend: Box<dyn Backend> = reactor::backend::create(cfg.backend);
-    let completion = backend.is_completion();
+    // does its own non-blocking I/O) or completion (submit/reap: reads into
+    // backend-owned buffers, writes from the reply queue's iovecs). `IoUring`
+    // may fall back to epoll readiness — `kind` reports what actually runs.
+    let mut backend_box: Box<dyn Backend> = reactor::backend::create(cfg.backend);
+    let backend = backend_box.as_mut();
+    let completion = backend.kind().is_completion();
     backend
         .register_poll(waker.read_fd(), WAKER_TOKEN, Interest::READABLE)
         .expect("register waker");
@@ -985,6 +1059,14 @@ fn worker_loop(
         seen_orphan_epoch: 0,
         fd_limit: rlimit_nofile(),
     });
+    let mut tally = Tally {
+        ctl: &ctl,
+        stats: &stats,
+        gauges: &gauges,
+        ends: &ends,
+        cell: shard.as_ref().map(|s| Arc::clone(&s.cell)),
+        draining: false,
+    };
     // Connection states live in a generation-tagged slab indexed by the low
     // bits of the selector token: dispatch is a bounds-checked array load,
     // and per-connection storage is dense — no hash table, no rehash spikes
@@ -992,10 +1074,8 @@ fn worker_loop(
     let mut conns: Slab<Conn> = Slab::new();
     let mut events: Vec<Cqe> = Vec::new();
     let mut read_buf = vec![0u8; 64 * 1024];
-    // Completion-path staging: `write_scratch` receives `ReplyQueue::peek`
-    // chunks for `submit_write`; `pump_retry` holds tokens whose submission
-    // hit a full SQ, retried after the next wait drains it.
-    let mut write_scratch: Vec<u8> = Vec::new();
+    // Completion path: tokens whose submission hit a full SQ, retried after
+    // the next wait drains it.
     let mut pump_retry: Vec<Token> = Vec::new();
     let mut date = httpcore::now_http_date();
     let mut date_refresh = std::time::Instant::now();
@@ -1053,9 +1133,7 @@ fn worker_loop(
                     links.wake_all();
                 }
             }
-            stats.alive_workers.fetch_sub(1, Ordering::SeqCst);
-            hists.lock().merge(&local_hists);
-            return;
+            break;
         }
         // Adopt freshly accepted connections (handoff mode; a shard's rx
         // never receives anything). A stream that was already in the channel
@@ -1065,30 +1143,17 @@ fn worker_loop(
             gauges.sub(GaugeKind::AcceptBacklog, 1);
             if let Some(h) = install_conn(
                 stream,
-                backend.as_mut(),
+                backend,
                 &mut conns,
                 &gauges,
                 deadlines_on,
                 epoch,
                 &mut wheel,
                 &cfg.lifecycle,
+                &mut pump_retry,
             ) {
                 if drain_swept {
                     drain_pending.push(h);
-                }
-                if completion {
-                    // Arm the first read now — a completion backend reports
-                    // nothing for a connection with no op in flight.
-                    let token = Token(h.raw() as usize);
-                    if let Some(conn) = conns.get_mut(h) {
-                        pump_conn(
-                            backend.as_mut(),
-                            conn,
-                            token,
-                            &mut write_scratch,
-                            &mut pump_retry,
-                        );
-                    }
                 }
             }
         }
@@ -1158,6 +1223,7 @@ fn worker_loop(
         gauges.sub(GaugeKind::ReadySetSize, last_ready as u64);
         last_ready = ready;
         let draining = ctl.draining.load(Ordering::Relaxed);
+        tally.draining = draining;
         // One clock read per wakeup serves every deadline decision below.
         let now_ns = if deadlines_on {
             epoch.elapsed().as_nanos() as u64
@@ -1172,13 +1238,7 @@ fn worker_loop(
             let parked = std::mem::take(&mut pump_retry);
             for token in parked {
                 if let Some(conn) = conns.get_mut(Handle::from_raw(token.0 as u64)) {
-                    pump_conn(
-                        backend.as_mut(),
-                        conn,
-                        token,
-                        &mut write_scratch,
-                        &mut pump_retry,
-                    );
+                    pump_conn(backend, conn, token, &mut pump_retry);
                 }
             }
         }
@@ -1220,29 +1280,18 @@ fn worker_loop(
                             };
                             if let Some(h) = install_conn(
                                 stream,
-                                backend.as_mut(),
+                                backend,
                                 &mut conns,
                                 &gauges,
                                 deadlines_on,
                                 epoch,
                                 &mut wheel,
                                 &cfg.lifecycle,
+                                &mut pump_retry,
                             ) {
                                 s.cell.on_accept();
                                 if drain_swept {
                                     drain_pending.push(h);
-                                }
-                                if completion {
-                                    let token = Token(h.raw() as usize);
-                                    if let Some(conn) = conns.get_mut(h) {
-                                        pump_conn(
-                                            backend.as_mut(),
-                                            conn,
-                                            token,
-                                            &mut write_scratch,
-                                            &mut pump_retry,
-                                        );
-                                    }
                                 }
                             }
                         }
@@ -1277,15 +1326,12 @@ fn worker_loop(
                 continue;
             }
             // The token *is* the packed slab handle: a generation-checked
-            // indexed load resolves the connection, and an event raced
-            // against a close (even one whose slot was already reused) is a
-            // clean miss, never an aliased lookup. A missed `ReadDone` still
-            // owes its backend-owned buffer back to the pool.
+            // indexed load resolves the connection. `deregister` is
+            // synchronous, so the only miss is a completion reaped in the
+            // same batch as an earlier one that closed its connection (a
+            // `ReadDone` buffer then simply frees).
             let handle = Handle::from_raw(ev_token.0 as u64);
             let Some(conn) = conns.get_mut(handle) else {
-                if let CqeKind::ReadDone { buf, .. } = cqe.kind {
-                    backend.recycle(buf);
-                }
                 continue;
             };
             let flushed_before = conn.bytes_flushed;
@@ -1327,10 +1373,9 @@ fn worker_loop(
                 CqeKind::ReadDone { buf, n, err } => {
                     conn.read_inflight = false;
                     match err {
-                        // No progress (spurious completion) or a late cancel
-                        // racing a teardown that didn't happen: benign, the
-                        // pump below resubmits.
-                        Some(reactor::backend::EAGAIN) | Some(reactor::backend::ECANCELED) => {}
+                        // No progress (spurious completion): the pump below
+                        // resubmits.
+                        Some(reactor::backend::EAGAIN) => {}
                         Some(_) => dead = true,
                         None if n == 0 => {
                             // Clean EOF — the completion-model twin of the
@@ -1360,16 +1405,16 @@ fn worker_loop(
                 CqeKind::WriteDone { n, err } => {
                     conn.write_inflight = false;
                     match err {
-                        // EAGAIN: the submitted copy is consumed but zero
-                        // bytes moved; the queue cursor did not advance, so
-                        // the pump re-peeks the identical bytes.
-                        Some(reactor::backend::EAGAIN) | Some(reactor::backend::ECANCELED) => {}
+                        // EAGAIN: zero bytes moved and the queue cursor did
+                        // not advance, so the pump resubmits the identical
+                        // iovecs.
+                        Some(reactor::backend::EAGAIN) => {}
                         Some(_) => dead = true,
                         None => {
                             // Possibly short: consume exactly what the op
-                            // wrote — the cursor slides mid-chunk just like
-                            // a short `writev` — and the next pump submits
-                            // the remainder.
+                            // wrote — the cursor slides mid-segment just
+                            // like a short `writev` — and the next pump
+                            // submits the remainder.
                             let t0 = Instant::now();
                             conn.out.consume(n, &mut head_pool);
                             stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
@@ -1412,34 +1457,15 @@ fn worker_loop(
                 rearm_deadline(&mut wheel, conn, ev_token.0, &cfg.lifecycle);
             }
             if dead {
-                if draining {
-                    if conn.wants_write() {
-                        ctl.aborted.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        ctl.drained.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                let fd = conn.stream.as_raw_fd();
-                let _ = backend.deregister(fd);
+                close_conn(conn, None, backend, &tally, &date, &mut head_pool);
                 conns.remove(handle);
-                gauges.sub(GaugeKind::OpenConns, 1);
-                gauges.sub(GaugeKind::RegisteredConns, 1);
-                if let Some(s) = shard.as_ref() {
-                    s.cell.on_close();
-                }
             } else if completion {
                 // Completion model: interest is implied by in-flight ops —
                 // keep a read armed (unless the peer half-closed) and a
                 // write armed while output is owed. A live connection
                 // always has at least one op in flight, so it can never
                 // silently fall out of the event stream.
-                pump_conn(
-                    backend.as_mut(),
-                    conn,
-                    ev_token,
-                    &mut write_scratch,
-                    &mut pump_retry,
-                );
+                pump_conn(backend, conn, ev_token, &mut pump_retry);
             } else {
                 // Only an actual interest change costs a syscall; the
                 // steady read-only request/reply cadence pays none.
@@ -1482,34 +1508,7 @@ fn worker_loop(
                     continue;
                 };
                 let mut conn = conns.remove(handle).expect("present above");
-                ends.record(cause);
-                match cause {
-                    EndCause::HeaderTimeout => {
-                        // Answer the half-sent request before closing: the
-                        // head is tiny, one non-blocking shot delivers it
-                        // unless the attacker also jammed the send buffer.
-                        respond_status(&mut conn, Status::RequestTimeout, &date, &mut head_pool);
-                        let _ = flush_output(&mut conn, &stats, &mut head_pool);
-                    }
-                    _ => {
-                        // Idle / write-stall: abortive close — httpd2's
-                        // observable behaviour, the Fig-3 reset stream.
-                        let _ = set_linger_zero(&conn.stream);
-                    }
-                }
-                if draining {
-                    if conn.wants_write() {
-                        ctl.aborted.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        ctl.drained.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                let _ = backend.deregister(conn.stream.as_raw_fd());
-                gauges.sub(GaugeKind::OpenConns, 1);
-                gauges.sub(GaugeKind::RegisteredConns, 1);
-                if let Some(s) = shard.as_ref() {
-                    s.cell.on_close();
-                }
+                close_conn(&mut conn, Some(cause), backend, &tally, &date, &mut head_pool);
             }
         }
 
@@ -1539,17 +1538,7 @@ fn worker_loop(
                         drain_pending.push(h);
                         return true;
                     }
-                    if conn.wants_write() {
-                        ctl.aborted.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        ctl.drained.fetch_add(1, Ordering::SeqCst);
-                    }
-                    let _ = backend.deregister(conn.stream.as_raw_fd());
-                    gauges.sub(GaugeKind::OpenConns, 1);
-                    gauges.sub(GaugeKind::RegisteredConns, 1);
-                    if let Some(s) = &shard {
-                        s.cell.on_close();
-                    }
+                    close_conn(conn, None, backend, &tally, &date, &mut head_pool);
                     false
                 });
             } else if deadline_hit {
@@ -1557,20 +1546,10 @@ fn worker_loop(
                 // connections already finished (closed in the event path)
                 // are stale by generation and skip for free.
                 for h in drain_pending.drain(..) {
-                    let Some(conn) = conns.remove(h) else {
+                    let Some(mut conn) = conns.remove(h) else {
                         continue;
                     };
-                    if conn.wants_write() {
-                        ctl.aborted.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        ctl.drained.fetch_add(1, Ordering::SeqCst);
-                    }
-                    let _ = backend.deregister(conn.stream.as_raw_fd());
-                    gauges.sub(GaugeKind::OpenConns, 1);
-                    gauges.sub(GaugeKind::RegisteredConns, 1);
-                    if let Some(s) = &shard {
-                        s.cell.on_close();
-                    }
+                    close_conn(&mut conn, None, backend, &tally, &date, &mut head_pool);
                 }
             }
             if conns.is_empty() {
@@ -1580,6 +1559,9 @@ fn worker_loop(
     }
     stats.alive_workers.fetch_sub(1, Ordering::SeqCst);
     hists.lock().merge(&local_hists);
+    // The backend goes before the connections: a completion backend
+    // cancels and reaps the ops still pointing into them.
+    drop(backend_box);
 }
 
 /// Feed freshly arrived request bytes through the parser and serve every
@@ -1638,13 +1620,6 @@ fn process_input(
     }
 }
 
-/// How much staged output one completion write op carries. Big enough that
-/// a whole typical reply ships in one op, small enough to bound the
-/// per-submission copy (`submit_write` copies at submit time — the price of
-/// completion semantics over a caller-owned queue; registered buffers would
-/// remove it and are future work, see DESIGN.md §16).
-const WRITE_CHUNK: usize = 32 * 1024;
-
 /// Completion-model op upkeep for a live connection: keep exactly one read
 /// in flight (unless the peer half-closed — the submit/reap twin of
 /// dropping read interest) and one write while output is owed. A refused
@@ -1652,19 +1627,19 @@ const WRITE_CHUNK: usize = 32 * 1024;
 /// after the next `wait` drains the queue. Invariant: a live connection
 /// always leaves with ≥1 op in flight or its token parked, so it can never
 /// fall out of the event stream.
-fn pump_conn(
-    backend: &mut dyn Backend,
-    conn: &mut Conn,
-    token: Token,
-    scratch: &mut Vec<u8>,
-    retry: &mut Vec<Token>,
-) {
+fn pump_conn(backend: &mut dyn Backend, conn: &mut Conn, token: Token, retry: &mut Vec<Token>) {
     let fd = conn.stream.as_raw_fd();
     let mut parked = false;
     if !conn.write_inflight && conn.wants_write() {
-        scratch.clear();
-        conn.out.peek(scratch, WRITE_CHUNK);
-        match backend.submit_write(fd, token, scratch) {
+        let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+        let n = conn.out.iovecs(&mut iov);
+        // SAFETY: the iovecs point at `conn.out`'s staged segments (head
+        // buffers and arena slices), which stay allocated and in place
+        // until this op's `WriteDone` is reaped: the queue retires a
+        // segment only in `consume`, which runs on that `WriteDone` or
+        // after `close_conn`'s `deregister` returned, and a `Conn` drops
+        // only after `close_conn` or after its worker dropped the backend.
+        match unsafe { backend.submit_write(fd, token, &iov[..n]) } {
             Ok(()) => conn.write_inflight = true,
             Err(SubmitError::SqFull) => parked = true,
         }

@@ -6,7 +6,7 @@
 
 use desim::Rng;
 use httpcore::{write_head, write_head_full, ContentStore, Status, Version};
-use nioserver::{NioConfig, NioServer, BackendKind};
+use nioserver::{BackendKind, NioConfig, NioServer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -90,14 +90,22 @@ fn reference(
     out
 }
 
-fn both_selectors() -> [BackendKind; 2] {
-    [BackendKind::Epoll, BackendKind::Poll]
+/// Every backend: both readiness selectors, the mock completion model
+/// always, and io_uring when the kernel grants it.
+fn every_backend() -> Vec<BackendKind> {
+    let mut kinds = vec![BackendKind::Epoll, BackendKind::Poll, BackendKind::MockCompletion];
+    if nioserver::io_uring_available() {
+        kinds.push(BackendKind::IoUring);
+    } else {
+        eprintln!("io_uring unavailable on this kernel: skipping its leg");
+    }
+    kinds
 }
 
 #[test]
 fn get_matches_copying_path_byte_for_byte() {
     let content = content();
-    for sel in both_selectors() {
+    for sel in every_backend() {
         let server = start(sel, &content);
         let raw = exchange(
             server.addr(),
@@ -115,7 +123,7 @@ fn get_matches_copying_path_byte_for_byte() {
 #[test]
 fn head_matches_copying_path_byte_for_byte() {
     let content = content();
-    for sel in both_selectors() {
+    for sel in every_backend() {
         let server = start(sel, &content);
         let raw = exchange(
             server.addr(),
@@ -133,7 +141,7 @@ fn head_matches_copying_path_byte_for_byte() {
 #[test]
 fn not_modified_matches_copying_path_byte_for_byte() {
     let content = content();
-    for sel in both_selectors() {
+    for sel in every_backend() {
         let server = start(sel, &content);
         let lm = content.last_modified(FileId(2));
         let raw = exchange(
@@ -152,7 +160,7 @@ fn not_modified_matches_copying_path_byte_for_byte() {
 #[test]
 fn not_found_matches_copying_path_byte_for_byte() {
     let content = content();
-    for sel in both_selectors() {
+    for sel in every_backend() {
         let server = start(sel, &content);
         let raw = exchange(
             server.addr(),
@@ -172,7 +180,7 @@ fn pipelined_burst_matches_copying_path_byte_for_byte() {
     // still be the exact concatenation of five independently rendered
     // replies, in order.
     let content = content();
-    for sel in both_selectors() {
+    for sel in every_backend() {
         let server = start(sel, &content);
         let mut request = String::new();
         for id in 0..4u32 {

@@ -5,11 +5,12 @@
 //!   `Ready` events and the caller performs its own non-blocking I/O —
 //!   preserving the zero-copy vectored write path.
 //! * A *completion* backend (the deterministic mock, or io_uring) owns the
-//!   I/O: the caller *submits* reads and writes, the backend performs them
-//!   with backend-owned buffers, and `wait` reaps `ReadDone` / `WriteDone`
-//!   completions. Submission queues are bounded: `submit_*` can refuse with
-//!   [`SubmitError::SqFull`] and the caller retries after the next reap —
-//!   backpressure, never a dropped op.
+//!   I/O: the caller *submits* reads and writes, the backend reads into
+//!   backend-owned buffers and writes straight from the caller's iovecs,
+//!   and `wait` reaps `ReadDone` / `WriteDone` completions. Submission
+//!   queues are bounded: `submit_*` can refuse with [`SubmitError::SqFull`]
+//!   and the caller retries after the next reap — backpressure, never a
+//!   dropped op.
 //!
 //! The contract both models share (DESIGN.md §16):
 //!
@@ -18,10 +19,11 @@
 //!   deliver an `EAGAIN`-flavoured completion (`err == EAGAIN`) that made
 //!   no progress; the caller resubmits. Neither model ever *loses* an event.
 //! * **Buffer lifetime.** `ReadDone` buffers are backend-owned; the caller
-//!   must hand every one back via [`Backend::recycle`] — even when the
-//!   completion's token no longer resolves (the connection died while the
-//!   op was in flight). `submit_write` *copies* the caller's bytes at
-//!   submit time, so the caller's staging buffer is free immediately.
+//!   hands every one back via [`Backend::recycle`]. Writes copy nothing:
+//!   `submit_write` takes the caller's iovecs and the backend holds only the
+//!   iovec array, so the caller keeps the bytes alive and in place until the
+//!   op's `WriteDone` is reaped or `deregister` returns (the `# Safety`
+//!   clause of [`Backend::submit_write`]).
 //! * **Ordering.** Completions for different tokens may arrive in any
 //!   order; completions for one token's same-direction ops arrive in
 //!   submission order (there is at most one read and one write in flight
@@ -32,12 +34,17 @@
 //!   a clean EOF — and a reset as `err == ECONNRESET` on whichever op was
 //!   in flight. There is no false-dead half-close state in the completion
 //!   model: a pending write simply completes when the peer drains.
-//! * **Teardown.** [`Backend::deregister`] cancels in-flight ops; their
-//!   completions may still surface afterwards and must be token-miss
-//!   tolerated (and their read buffers recycled) by the caller.
+//! * **Teardown.** [`Backend::deregister`] is synchronous on every backend:
+//!   when it returns, the fd's queued and in-flight ops are submitted,
+//!   cancelled and reaped, their read buffers recycled, and no completion
+//!   for the fd ever surfaces afterwards — so the fd may be closed and its
+//!   number reused at once. It returns the bytes an in-flight write moved
+//!   before the cancel took hold. Dropping a completion backend does the
+//!   same for every registration.
 
 use crate::selector::{Event, Interest, Selector, Token};
-use std::io;
+use crate::sys::Iovec;
+use std::io::{self, IoSlice};
 use std::os::fd::RawFd;
 use std::time::Duration;
 
@@ -119,15 +126,15 @@ pub enum CqeKind {
     },
     /// A submitted read finished: `buf[..n]` holds the bytes (`n == 0` is a
     /// clean EOF), unless `err` carries an errno. `buf` is backend-owned —
-    /// hand it back via [`Backend::recycle`] in every case, including when
-    /// the token no longer resolves.
+    /// hand it back via [`Backend::recycle`].
     ReadDone {
         buf: Vec<u8>,
         n: usize,
         err: Option<i32>,
     },
-    /// A submitted write finished: `n` bytes of the submitted copy reached
-    /// the socket (possibly short — resubmit the rest), unless `err`.
+    /// A submitted write finished: the first `n` bytes of the submitted
+    /// iovecs reached the socket (possibly short — resubmit the rest),
+    /// unless `err`.
     WriteDone { n: usize, err: Option<i32> },
 }
 
@@ -148,20 +155,56 @@ pub enum SubmitError {
 
 /// `EAGAIN` — a completion that made no progress; resubmit.
 pub const EAGAIN: i32 = 11;
-/// `ECANCELED` — the op was cancelled by `deregister` before it ran.
-pub const ECANCELED: i32 = 125;
+
+/// Iovecs one completion write op carries. A longer list is written short:
+/// the caller consumes the completed count and resubmits the rest, as after
+/// a short `writev`.
+pub const MAX_WRITE_IOVECS: usize = 16;
+
+/// A write op's iovecs in the kernel's `struct iovec` layout, copied out of
+/// the caller's `IoSlice`s at submit time. The bytes they point at stay the
+/// caller's (see [`Backend::submit_write`]).
+#[derive(Clone, Copy)]
+pub(crate) struct WriteIovs {
+    iov: [Iovec; MAX_WRITE_IOVECS],
+    len: usize,
+}
+
+impl WriteIovs {
+    pub(crate) fn new(src: &[IoSlice<'_>]) -> WriteIovs {
+        let mut iov = [Iovec { base: std::ptr::null(), len: 0 }; MAX_WRITE_IOVECS];
+        let len = src.len().min(MAX_WRITE_IOVECS);
+        for (dst, s) in iov.iter_mut().zip(src) {
+            *dst = Iovec { base: s.as_ptr(), len: s.len() };
+        }
+        WriteIovs { iov, len }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[Iovec] {
+        &self.iov[..self.len]
+    }
+
+    /// Shorten to the first `limit` bytes.
+    pub(crate) fn truncate(&mut self, mut limit: usize) {
+        for (i, v) in self.iov[..self.len].iter_mut().enumerate() {
+            if v.len >= limit {
+                v.len = limit;
+                self.len = i + 1;
+                return;
+            }
+            limit -= v.len;
+        }
+    }
+}
 
 /// A pluggable I/O backend: readiness or completion semantics behind one
 /// vocabulary. See the module docs for the cross-model contract.
 pub trait Backend: Send {
+    /// What actually runs (`create(IoUring)` may fall back to epoll). On a
+    /// completion kind the caller drives connection I/O through
+    /// `submit_read`/`submit_write`, otherwise through its own non-blocking
+    /// syscalls on `Ready` events.
     fn kind(&self) -> BackendKind;
-
-    /// Completion-model backend? When true the caller drives connection I/O
-    /// through `submit_read`/`submit_write`; when false through its own
-    /// non-blocking syscalls on `Ready` events.
-    fn is_completion(&self) -> bool {
-        self.kind().is_completion()
-    }
 
     /// Register a connection fd. Readiness backends arm the level-triggered
     /// interest set; completion backends only record the fd (interest is
@@ -178,18 +221,33 @@ pub trait Backend: Send {
     /// connection fds.
     fn set_interest(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
 
-    /// Remove an fd, cancelling any in-flight completion ops. Their CQEs
-    /// may still surface afterwards (token-miss tolerated by the caller).
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
+    /// Remove an fd synchronously: its queued ops are submitted, its
+    /// in-flight ops cancelled and reaped and their read buffers recycled,
+    /// so no completion for `fd` surfaces after this returns. Returns the
+    /// bytes an in-flight write moved before the cancel took hold (always 0
+    /// on readiness backends); the caller consumes them as if a `WriteDone`
+    /// had reported them.
+    fn deregister(&mut self, fd: RawFd) -> io::Result<usize>;
 
     /// Queue a read on a registered connection fd. At most one read in
     /// flight per token.
     fn submit_read(&mut self, fd: RawFd, token: Token) -> Result<(), SubmitError>;
 
-    /// Queue a write of a *copy* of `data` on a registered connection fd.
-    /// At most one write in flight per token; `data` is free to reuse the
-    /// moment this returns.
-    fn submit_write(&mut self, fd: RawFd, token: Token, data: &[u8]) -> Result<(), SubmitError>;
+    /// Queue one vectored write of `iov` (at most [`MAX_WRITE_IOVECS`] of
+    /// them; the rest are left for the resubmission) on a registered
+    /// connection fd. At most one write in flight per token. Nothing is
+    /// copied: the backend keeps only the iovec array.
+    ///
+    /// # Safety
+    /// Every byte `iov` points at must stay allocated and unmoved until
+    /// this op's `WriteDone` is reaped or `deregister(fd)` returns `Ok`,
+    /// even though the `IoSlice` borrows end when this call does.
+    unsafe fn submit_write(
+        &mut self,
+        fd: RawFd,
+        token: Token,
+        iov: &[IoSlice<'_>],
+    ) -> Result<(), SubmitError>;
 
     /// Return a `ReadDone` buffer to the backend's pool.
     fn recycle(&mut self, buf: Vec<u8>);
@@ -237,15 +295,20 @@ impl Backend for ReadinessBackend {
         self.selector.reregister(fd, token, interest)
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        self.selector.deregister(fd)
+    fn deregister(&mut self, fd: RawFd) -> io::Result<usize> {
+        self.selector.deregister(fd).map(|()| 0)
     }
 
     fn submit_read(&mut self, _fd: RawFd, _token: Token) -> Result<(), SubmitError> {
         unreachable!("readiness backend has no submission queue")
     }
 
-    fn submit_write(&mut self, _fd: RawFd, _token: Token, _data: &[u8]) -> Result<(), SubmitError> {
+    unsafe fn submit_write(
+        &mut self,
+        _fd: RawFd,
+        _token: Token,
+        _iov: &[IoSlice<'_>],
+    ) -> Result<(), SubmitError> {
         unreachable!("readiness backend has no submission queue")
     }
 

@@ -1,8 +1,8 @@
-//! Raw readiness-selection syscall bindings.
+//! Raw readiness-selection and socket syscall bindings.
 //!
 //! The workspace's dependency policy rules out `libc`/`mio`, but `std`
-//! already links the platform C library, so declaring the four symbols we
-//! need is sound and adds no dependency. Two backends are bound:
+//! already links the platform C library, so declaring the symbols we need
+//! is sound and adds no dependency. Two selection backends are bound:
 //!
 //! * `epoll(7)` — O(ready) scalable selection (what a modern JVM's NIO
 //!   selector uses on Linux);
@@ -10,7 +10,9 @@
 //!   `select` actually did under the hood).
 //!
 //! Keeping both lets the ablation bench measure exactly the scan-cost
-//! difference the simulated cost model parameterises.
+//! difference the simulated cost model parameterises. `recv(2)` and
+//! `sendmsg(2)` serve the mock-completion backend, which performs its
+//! ops on raw fds below `std`'s `TcpStream`.
 
 #![cfg(target_os = "linux")]
 
@@ -50,7 +52,33 @@ pub struct PollFd {
     pub revents: i16,
 }
 
+/// `struct iovec`: one span a vectored write reads from.
+#[repr(C)]
+#[derive(Clone, Copy, Debug)]
+pub struct Iovec {
+    pub base: *const u8,
+    pub len: usize,
+}
+
+/// `struct msghdr`, for `sendmsg(2)` without an address or control data.
+#[repr(C)]
+pub struct MsgHdr {
+    pub name: *mut c_void,
+    pub namelen: u32,
+    pub iov: *const Iovec,
+    pub iovlen: usize,
+    pub control: *mut c_void,
+    pub controllen: usize,
+    pub flags: c_int,
+}
+
+/// `MSG_NOSIGNAL`: a write into a reset connection reports `EPIPE` instead
+/// of raising `SIGPIPE`.
+pub const MSG_NOSIGNAL: c_int = 0x4000;
+
 extern "C" {
+    pub fn sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
+    pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
     pub fn epoll_create1(flags: c_int) -> c_int;
     pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     pub fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int)
@@ -67,10 +95,6 @@ pub fn cvt(ret: c_int) -> std::io::Result<c_int> {
         Ok(ret)
     }
 }
-
-/// Suppress unused warning for c_void (kept for future bindings).
-#[allow(dead_code)]
-type Unused = *const c_void;
 
 #[cfg(test)]
 mod tests {
@@ -89,6 +113,8 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         assert_eq!(std::mem::size_of::<EpollEvent>(), 12);
         assert_eq!(std::mem::size_of::<PollFd>(), 8);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(std::mem::size_of::<MsgHdr>(), 56);
     }
 
     #[test]

@@ -3,21 +3,25 @@
 //!
 //! Scope is deliberately the subset the [`Backend`] contract needs:
 //!
-//! * `IORING_OP_READ` / `IORING_OP_WRITE` for connection I/O, one op per
-//!   direction per token, with backend-owned buffers (reads draw from a
-//!   recycle pool; writes copy at submit).
+//! * `IORING_OP_READ` into a backend-owned buffer from a recycle pool, and
+//!   `IORING_OP_WRITEV` straight from the caller's iovecs — the ring holds
+//!   only the iovec array, in a pooled fixed-address slot, never a copy of
+//!   the bytes. One op per direction per fd.
 //! * Single-shot `IORING_OP_POLL_ADD` for readiness-only fds (listeners,
 //!   wakers), re-armed on every delivery so the caller sees level-style
 //!   `Ready` events.
-//! * `IORING_OP_ASYNC_CANCEL` (by op id) at `deregister`, so a torn-down
-//!   connection's in-flight ops drain as `ECANCELED` token-misses.
+//! * A synchronous `deregister`: it submits what is queued, issues
+//!   `IORING_OP_ASYNC_CANCEL` for the fd's ops and reaps until each of
+//!   them and each cancel has completed, stashing other fds' completions
+//!   for the next `wait`. Nothing for the fd surfaces afterwards, so a
+//!   reused fd number can never receive a dead registration's op. `Drop`
+//!   does the same for every registration before it closes the ring.
 //! * `io_uring_enter(EXT_ARG)` for bounded waits — no timeout sqe
 //!   bookkeeping, one syscall per reap.
 //!
-//! Tokens are arbitrary `usize` values (the slab packs a generation into
-//! the high bits, listener tokens sit near `usize::MAX/2`), so `user_data`
-//! cannot carry the token directly with tag bits; instead every op gets a
-//! fresh 64-bit id mapped to `(kind, token, fd)` in [`UringBackend::ops`].
+//! Because no op outlives its registration, `user_data` is `fd << 8 | op
+//! kind`: a CQE resolves through the one registration map, keyed by fd,
+//! with no per-op ids.
 //!
 //! [`UringBackend::probe`] builds a ring and pushes a NOP through a
 //! timed `enter` before declaring the backend usable — kernels (or seccomp
@@ -25,10 +29,10 @@
 //! (< 5.11), fail the probe and [`crate::backend::create`] falls back to
 //! epoll readiness. The suites treat that as skip, not failure.
 
-use crate::backend::{Backend, BackendKind, Cqe, CqeKind, SubmitError};
+use crate::backend::{Backend, BackendKind, Cqe, CqeKind, SubmitError, WriteIovs};
 use crate::selector::{Interest, Token};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, IoSlice};
 use std::os::fd::RawFd;
 use std::time::Duration;
 
@@ -45,10 +49,10 @@ const IORING_ENTER_GETEVENTS: u32 = 1 << 0;
 const IORING_ENTER_EXT_ARG: u32 = 1 << 3;
 
 const IORING_OP_NOP: u8 = 0;
+const IORING_OP_WRITEV: u8 = 2;
 const IORING_OP_POLL_ADD: u8 = 6;
 const IORING_OP_ASYNC_CANCEL: u8 = 14;
 const IORING_OP_READ: u8 = 22;
-const IORING_OP_WRITE: u8 = 23;
 
 const POLLIN: u32 = 0x001;
 const POLLOUT: u32 = 0x004;
@@ -209,13 +213,32 @@ impl Drop for Mapping {
     }
 }
 
-/// What an in-flight op id resolves to when its CQE lands.
-enum OpRec {
-    Read { token: Token, buf: Vec<u8> },
-    Write { token: Token, buf: Vec<u8> },
-    Poll { fd: RawFd },
-    /// NOP / cancel / probe plumbing — CQE dropped on the floor.
-    Internal,
+/// `user_data` low byte: which op of the fd in the high bits a CQE is for.
+const OP_NOP: u64 = 0;
+const OP_READ: u64 = 1;
+const OP_WRITE: u64 = 2;
+const OP_POLL: u64 = 3;
+const OP_CANCEL: u64 = 4;
+
+fn user_data(fd: RawFd, op: u64) -> u64 {
+    (fd as u64) << 8 | op
+}
+
+/// One registered fd: a connection (ops submitted by the caller) or a
+/// readiness-only fd (a poll the backend keeps armed).
+struct Reg {
+    token: Token,
+    /// `Some` for readiness-only fds: the interest re-armed after each
+    /// delivery (taken by `deregister`, so a poll firing then stays down).
+    poll: Option<Interest>,
+    /// SQEs pushed for this fd (reads, writes, polls, cancels) whose CQE
+    /// has not been reaped yet.
+    inflight: u32,
+    /// The in-flight read's buffer.
+    read_buf: Option<Vec<u8>>,
+    /// The in-flight write's iovec array, at a fixed heap address the
+    /// kernel may read until the op completes.
+    write_iov: Option<Box<WriteIovs>>,
 }
 
 /// See the module docs.
@@ -238,8 +261,6 @@ pub struct UringBackend {
     sq_array: *mut u32,
     /// Local shadow of the SQ tail.
     sq_tail: u32,
-    /// SQEs pushed since the last `enter`.
-    to_submit: u32,
 
     // CQ ring geometry.
     cq_khead: *mut u32,
@@ -247,21 +268,21 @@ pub struct UringBackend {
     cq_mask: u32,
     cqes: *const RawCqe,
 
-    next_op: u64,
-    ops: HashMap<u64, OpRec>,
-    /// Per-fd in-flight op ids, for targeted cancel at deregister.
-    conn_ops: HashMap<RawFd, Vec<u64>>,
-    /// Readiness registrations: fd → (token, interest, armed op id).
-    polls: HashMap<RawFd, (Token, Interest, Option<u64>)>,
-    /// Conn registrations (`registered()` and sanity only).
-    conns: HashMap<RawFd, Token>,
-    /// Cancels / poll re-arms that hit a full SQ, retried each wait.
-    deferred: Vec<Sqe>,
+    regs: HashMap<RawFd, Reg>,
+    /// Completions `deregister` reaped while waiting for its fd's ops:
+    /// the fd's own are absorbed there, the rest `wait` delivers first.
+    stash: Vec<Cqe>,
     pool: Vec<Vec<u8>>,
+    /// Boxed: each is a slot whose address the kernel holds until the
+    /// write completes, while its `Reg` may move.
+    #[allow(clippy::vec_box)]
+    iov_pool: Vec<Box<WriteIovs>>,
 }
 
-// The ring is owned by one worker thread; raw pointers refer to mappings
-// that move with the struct.
+// SAFETY: the ring is owned by one worker thread at a time. The raw
+// pointers refer to this backend's own mappings, which move with it, and
+// to caller bytes that `submit_write`'s contract keeps alive until the op
+// is reaped on whichever thread then owns the backend.
 unsafe impl Send for UringBackend {}
 
 impl UringBackend {
@@ -269,26 +290,25 @@ impl UringBackend {
     /// `EXT_ARG` enter). `None` on any refusal — caller falls back.
     pub fn probe() -> Option<UringBackend> {
         let mut b = UringBackend::new(RING_ENTRIES).ok()?;
-        let id = b.op_id();
-        b.ops.insert(id, OpRec::Internal);
         let sqe = Sqe {
             opcode: IORING_OP_NOP,
-            user_data: id,
+            user_data: OP_NOP,
             ..Sqe::default()
         };
-        if b.push_sqe(sqe).is_err() {
+        b.push_sqe(sqe).ok()?;
+        // A NOP completes immediately; one timed enter must reap it.
+        b.enter(1, Some(Duration::from_millis(100))).ok()?;
+        if b.cq_ready() == 0 {
             return None;
         }
-        let mut out = Vec::new();
-        // A NOP completes immediately; one timed enter must reap it.
-        match b.wait(&mut out, Some(Duration::from_millis(100))) {
-            Ok(_) if b.ops.is_empty() => Some(b),
-            _ => None,
-        }
+        b.reap(&mut Vec::new()).ok()?;
+        Some(b)
     }
 
     fn new(entries: u32) -> io::Result<UringBackend> {
         let mut params = UringParams::default();
+        // SAFETY: `params` is a live, zeroed `io_uring_params` the kernel
+        // fills in.
         let ring_fd = cvt64(unsafe {
             syscall(SYS_IO_URING_SETUP, entries, &mut params as *mut UringParams)
         })? as RawFd;
@@ -331,14 +351,10 @@ impl UringBackend {
                     sq_ring,
                     cq_ring,
                     sqes,
-                    to_submit: 0,
-                    next_op: 1,
-                    ops: HashMap::new(),
-                    conn_ops: HashMap::new(),
-                    polls: HashMap::new(),
-                    conns: HashMap::new(),
-                    deferred: Vec::new(),
+                    regs: HashMap::new(),
+                    stash: Vec::new(),
                     pool: Vec::new(),
+                    iov_pool: Vec::new(),
                 }
             };
             Ok(backend)
@@ -347,12 +363,6 @@ impl UringBackend {
             unsafe { close(ring_fd) };
         }
         build
-    }
-
-    fn op_id(&mut self) -> u64 {
-        let id = self.next_op;
-        self.next_op += 1;
-        id
     }
 
     /// Write an SQE into the ring. `SqFull` when a full ring's worth is
@@ -369,26 +379,24 @@ impl UringBackend {
         }
         self.sq_tail = self.sq_tail.wrapping_add(1);
         unsafe { atomic_store(self.sq_ktail, self.sq_tail) };
-        self.to_submit += 1;
         Ok(())
     }
 
-    /// Best-effort push for internal ops (cancel, poll re-arm): a full SQ
-    /// defers to the next wait instead of failing the caller.
-    fn push_or_defer(&mut self, sqe: Sqe) {
-        if let Err(SubmitError::SqFull) = self.push_sqe(sqe) {
-            self.deferred.push(sqe);
+    /// Push an op the backend issues itself (a cancel, a poll re-arm) for
+    /// registered `fd`. A full SQ is submitted first, so these never wait
+    /// on the caller's next `wait`.
+    fn push_internal(&mut self, fd: RawFd, sqe: Sqe) -> io::Result<()> {
+        if self.push_sqe(sqe).is_err() {
+            self.enter(0, None)?;
+            self.push_sqe(sqe).map_err(|_| io::Error::from(io::ErrorKind::WouldBlock))?;
         }
+        if let Some(reg) = self.regs.get_mut(&fd) {
+            reg.inflight += 1;
+        }
+        Ok(())
     }
 
-    fn flush_deferred(&mut self) {
-        let deferred = std::mem::take(&mut self.deferred);
-        for sqe in deferred {
-            self.push_or_defer(sqe);
-        }
-    }
-
-    fn arm_poll(&mut self, fd: RawFd, interest: Interest) {
+    fn arm_poll(&mut self, fd: RawFd, interest: Interest) -> io::Result<()> {
         let mut mask = POLLERR | POLLHUP;
         if interest.readable {
             mask |= POLLIN | POLLRDHUP;
@@ -396,32 +404,14 @@ impl UringBackend {
         if interest.writable {
             mask |= POLLOUT;
         }
-        let id = self.op_id();
-        self.ops.insert(id, OpRec::Poll { fd });
-        if let Some(p) = self.polls.get_mut(&fd) {
-            p.2 = Some(id);
-        }
         let sqe = Sqe {
             opcode: IORING_OP_POLL_ADD,
             fd,
             op_flags: mask,
-            user_data: id,
+            user_data: user_data(fd, OP_POLL),
             ..Sqe::default()
         };
-        self.push_or_defer(sqe);
-    }
-
-    fn cancel_op(&mut self, target: u64) {
-        let id = self.op_id();
-        self.ops.insert(id, OpRec::Internal);
-        let sqe = Sqe {
-            opcode: IORING_OP_ASYNC_CANCEL,
-            fd: -1,
-            addr: target,
-            user_data: id,
-            ..Sqe::default()
-        };
-        self.push_or_defer(sqe);
+        self.push_internal(fd, sqe)
     }
 
     fn cq_ready(&self) -> u32 {
@@ -430,141 +420,113 @@ impl UringBackend {
         tail.wrapping_sub(head)
     }
 
+    /// Submit every pushed SQE the kernel has not consumed yet and, with
+    /// `min_complete > 0`, wait for that many completions (bounded by
+    /// `timeout` when given).
     fn enter(&mut self, min_complete: u32, timeout: Option<Duration>) -> io::Result<()> {
-        let to_submit = self.to_submit;
-        let ret = if min_complete == 0 && timeout.is_none() {
-            if to_submit == 0 {
-                return Ok(());
+        // SAFETY: `sq_khead` points into this backend's live SQ mapping.
+        let to_submit = self.sq_tail.wrapping_sub(unsafe { atomic_load(self.sq_khead) });
+        if to_submit == 0 && min_complete == 0 {
+            return Ok(());
+        }
+        let ts = timeout.map(|t| Timespec {
+            tv_sec: t.as_secs() as i64,
+            tv_nsec: t.subsec_nanos() as i64,
+        });
+        let arg = GeteventsArg {
+            sigmask: 0,
+            sigmask_sz: 0,
+            pad: 0,
+            ts: ts.as_ref().map_or(0, |ts| ts as *const Timespec as u64),
+        };
+        let mut flags = if min_complete > 0 { IORING_ENTER_GETEVENTS } else { 0 };
+        let (argp, argsz) = match ts {
+            Some(_) => {
+                flags |= IORING_ENTER_EXT_ARG;
+                (&arg as *const GeteventsArg, std::mem::size_of::<GeteventsArg>())
             }
-            unsafe {
-                syscall(
-                    SYS_IO_URING_ENTER,
-                    self.ring_fd,
-                    to_submit,
-                    0u32,
-                    0u32,
-                    std::ptr::null::<u8>(),
-                    0usize,
-                )
-            }
-        } else {
-            match timeout {
-                Some(t) => {
-                    let ts = Timespec {
-                        tv_sec: t.as_secs() as i64,
-                        tv_nsec: t.subsec_nanos() as i64,
-                    };
-                    let arg = GeteventsArg {
-                        sigmask: 0,
-                        sigmask_sz: 0,
-                        pad: 0,
-                        ts: &ts as *const Timespec as u64,
-                    };
-                    unsafe {
-                        syscall(
-                            SYS_IO_URING_ENTER,
-                            self.ring_fd,
-                            to_submit,
-                            min_complete,
-                            IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG,
-                            &arg as *const GeteventsArg,
-                            std::mem::size_of::<GeteventsArg>(),
-                        )
-                    }
-                }
-                None => unsafe {
-                    syscall(
-                        SYS_IO_URING_ENTER,
-                        self.ring_fd,
-                        to_submit,
-                        min_complete,
-                        IORING_ENTER_GETEVENTS,
-                        std::ptr::null::<u8>(),
-                        0usize,
-                    )
-                },
-            }
+            None => (std::ptr::null(), 0),
+        };
+        // SAFETY: `argp` is null or points at `arg`, which outlives the call
+        // together with the `Timespec` it names; the kernel only reads them.
+        let ret = unsafe {
+            syscall(SYS_IO_URING_ENTER, self.ring_fd, to_submit, min_complete, flags, argp, argsz)
         };
         if ret < 0 {
             let err = io::Error::last_os_error();
             match err.raw_os_error() {
                 // Timed out / interrupted: not failures, just no events.
-                Some(e) if e == ETIME || e == EINTR => {
-                    self.to_submit = 0;
-                    Ok(())
-                }
+                Some(e) if e == ETIME || e == EINTR => Ok(()),
                 _ => Err(err),
             }
         } else {
-            self.to_submit = 0;
             Ok(())
         }
     }
 
     /// Reap everything currently in the CQ into `out`.
-    fn reap(&mut self, out: &mut Vec<Cqe>) {
+    fn reap(&mut self, out: &mut Vec<Cqe>) -> io::Result<()> {
         loop {
             let head = unsafe { atomic_load(self.cq_khead) };
             let tail = unsafe { atomic_load(self.cq_ktail) };
             if head == tail {
-                return;
+                return Ok(());
             }
             let raw = unsafe { *self.cqes.add((head & self.cq_mask) as usize) };
             unsafe { atomic_store(self.cq_khead, head.wrapping_add(1)) };
-            let Some(rec) = self.ops.remove(&raw.user_data) else {
+            let fd = (raw.user_data >> 8) as RawFd;
+            let op = raw.user_data & 0xff;
+            // Only the probe's NOP resolves to no registration: every other
+            // op is reaped before `deregister` forgets its fd.
+            let Some(reg) = self.regs.get_mut(&fd).filter(|_| op != OP_NOP) else {
                 continue;
             };
-            match rec {
-                OpRec::Read { token, buf } => {
-                    self.untrack(token, raw.user_data);
-                    let kind = if raw.res < 0 {
-                        CqeKind::ReadDone { buf, n: 0, err: Some(-raw.res) }
-                    } else {
-                        CqeKind::ReadDone { buf, n: raw.res as usize, err: None }
-                    };
-                    out.push(Cqe { token, kind });
+            reg.inflight -= 1;
+            let token = reg.token;
+            let err = (raw.res < 0).then_some(-raw.res);
+            let n = raw.res.max(0) as usize;
+            match op {
+                OP_READ => {
+                    let buf = reg.read_buf.take().expect("read in flight");
+                    out.push(Cqe { token, kind: CqeKind::ReadDone { buf, n, err } });
                 }
-                OpRec::Write { token, buf } => {
-                    self.untrack(token, raw.user_data);
-                    self.pool.push(buf);
-                    let kind = if raw.res < 0 {
-                        CqeKind::WriteDone { n: 0, err: Some(-raw.res) }
-                    } else {
-                        CqeKind::WriteDone { n: raw.res as usize, err: None }
-                    };
-                    out.push(Cqe { token, kind });
+                OP_WRITE => {
+                    self.iov_pool.push(reg.write_iov.take().expect("write in flight"));
+                    out.push(Cqe { token, kind: CqeKind::WriteDone { n, err } });
                 }
-                OpRec::Poll { fd } => {
-                    // Single-shot: deliver and re-arm while the fd is
-                    // still registered. A cancelled poll (res < 0) stays
-                    // down.
-                    if let Some(&(token, interest, _)) = self.polls.get(&fd) {
-                        if raw.res >= 0 {
-                            let revents = raw.res as u32;
-                            out.push(Cqe {
-                                token,
-                                kind: CqeKind::Ready {
-                                    readable: revents & POLLIN != 0,
-                                    writable: revents & POLLOUT != 0,
-                                    error: revents & (POLLERR | POLLHUP | POLLRDHUP) != 0,
-                                },
-                            });
-                            self.arm_poll(fd, interest);
-                        }
+                OP_POLL => {
+                    // Single-shot: deliver and re-arm while the fd stays
+                    // registered. A failed poll (res < 0) stays down.
+                    if let (Some(interest), None) = (reg.poll, err) {
+                        let revents = raw.res as u32;
+                        out.push(Cqe {
+                            token,
+                            kind: CqeKind::Ready {
+                                readable: revents & POLLIN != 0,
+                                writable: revents & POLLOUT != 0,
+                                error: revents & (POLLERR | POLLHUP | POLLRDHUP) != 0,
+                            },
+                        });
+                        self.arm_poll(fd, interest)?;
                     }
                 }
-                OpRec::Internal => {}
+                _ => {} // OP_CANCEL: only its `inflight` slot mattered.
             }
         }
     }
 
-    fn untrack(&mut self, _token: Token, id: u64) {
-        for ids in self.conn_ops.values_mut() {
-            if let Some(pos) = ids.iter().position(|&x| x == id) {
-                ids.swap_remove(pos);
-                break;
-            }
-        }
+    fn register(&mut self, fd: RawFd, token: Token, poll: Option<Interest>) {
+        // Replacing a live registration would free buffers its ops still
+        // lend to the kernel.
+        assert!(!self.regs.contains_key(&fd), "fd {fd} registered twice");
+        let reg = Reg {
+            token,
+            poll,
+            inflight: 0,
+            read_buf: None,
+            write_iov: None,
+        };
+        self.regs.insert(fd, reg);
     }
 
     fn take_buf(&mut self) -> Vec<u8> {
@@ -577,6 +539,17 @@ impl UringBackend {
 
 impl Drop for UringBackend {
     fn drop(&mut self) {
+        // Cancel and reap every registration's ops before the ring closes,
+        // so the kernel never writes into a freed read buffer or reads a
+        // caller's bytes after this backend is gone. If the ring refuses,
+        // leak what the kernel may still own rather than free it.
+        let fds: Vec<RawFd> = self.regs.keys().copied().collect();
+        for fd in fds {
+            if self.deregister(fd).is_err() {
+                std::mem::forget(std::mem::take(&mut self.regs));
+                break;
+            }
+        }
         unsafe { close(self.ring_fd) };
         // Mappings unmap via their own Drop.
     }
@@ -588,88 +561,125 @@ impl Backend for UringBackend {
     }
 
     fn register_conn(&mut self, fd: RawFd, token: Token, _interest: Interest) -> io::Result<()> {
-        self.conns.insert(fd, token);
-        self.conn_ops.entry(fd).or_default();
+        self.register(fd, token, None);
         Ok(())
     }
 
     fn register_poll(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.polls.insert(fd, (token, interest, None));
-        self.arm_poll(fd, interest);
-        Ok(())
+        self.register(fd, token, Some(interest));
+        self.arm_poll(fd, interest)
     }
 
     fn set_interest(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        if let Some(&(_, _, armed)) = self.polls.get(&fd) {
-            self.polls.insert(fd, (token, interest, None));
-            if let Some(id) = armed {
-                self.cancel_op(id);
-            }
-            self.arm_poll(fd, interest);
-        }
-        // Conn fds: interest is op-implied.
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        if self.conns.remove(&fd).is_some() {
-            for id in self.conn_ops.remove(&fd).unwrap_or_default() {
-                self.cancel_op(id);
-            }
-        }
-        if let Some((_, _, Some(id))) = self.polls.remove(&fd) {
-            self.cancel_op(id);
+        // Readiness-only fds re-arm under the new mask; conn fds' interest
+        // is op-implied.
+        if self.regs.get(&fd).is_some_and(|r| r.poll.is_some()) {
+            self.deregister(fd)?;
+            self.register_poll(fd, token, interest)?;
         }
         Ok(())
     }
 
-    fn submit_read(&mut self, fd: RawFd, token: Token) -> Result<(), SubmitError> {
-        let buf = self.take_buf();
-        let id = self.op_id();
-        let addr = buf.as_ptr() as u64;
-        let len = buf.len() as u32;
-        self.ops.insert(id, OpRec::Read { token, buf });
+    fn deregister(&mut self, fd: RawFd) -> io::Result<usize> {
+        let Some(reg) = self.regs.get_mut(&fd) else {
+            return Ok(0);
+        };
+        let live = [
+            (OP_READ, reg.read_buf.is_some()),
+            (OP_WRITE, reg.write_iov.is_some()),
+            (OP_POLL, reg.poll.take().is_some()),
+        ];
+        for (op, in_flight) in live {
+            if in_flight {
+                // An op that already finished makes the cancel fail with
+                // ENOENT; either way exactly one CQE per op follows.
+                let sqe = Sqe {
+                    opcode: IORING_OP_ASYNC_CANCEL,
+                    fd: -1,
+                    addr: user_data(fd, op),
+                    user_data: user_data(fd, OP_CANCEL),
+                    ..Sqe::default()
+                };
+                self.push_internal(fd, sqe)?;
+            }
+        }
+        // One enter submits the fd's queued ops ahead of their cancels.
+        let mut stash = std::mem::take(&mut self.stash);
+        let mut reaped = Ok(());
+        while reaped.is_ok() && self.regs[&fd].inflight > 0 {
+            reaped = self.enter(1, None).and_then(|()| self.reap(&mut stash));
+        }
+        self.stash = stash;
+        reaped?;
+        let token = self.regs.remove(&fd).expect("registered above").token;
+        // Absorb the fd's completions, including any an earlier deregister
+        // stashed, so none surfaces after it is gone.
+        let mut moved = 0;
+        for cqe in self.stash.extract_if(.., |c| c.token == token) {
+            match cqe.kind {
+                CqeKind::ReadDone { buf, .. } => self.pool.push(buf),
+                CqeKind::WriteDone { n, .. } => moved += n,
+                CqeKind::Ready { .. } => {}
+            }
+        }
+        Ok(moved)
+    }
+
+    fn submit_read(&mut self, fd: RawFd, _token: Token) -> Result<(), SubmitError> {
+        // A second read would free the first one's buffer under the kernel.
+        let reg = self.regs.get(&fd).expect("submit_read on a registered fd");
+        assert!(reg.read_buf.is_none(), "one read in flight per fd");
+        let mut buf = self.take_buf();
         let sqe = Sqe {
             opcode: IORING_OP_READ,
             fd,
-            addr,
-            len,
-            user_data: id,
+            addr: buf.as_mut_ptr() as u64,
+            len: buf.len() as u32,
+            user_data: user_data(fd, OP_READ),
             ..Sqe::default()
         };
         if let Err(e) = self.push_sqe(sqe) {
-            if let Some(OpRec::Read { buf, .. }) = self.ops.remove(&id) {
-                self.pool.push(buf);
-            }
+            self.pool.push(buf);
             return Err(e);
         }
-        self.conn_ops.entry(fd).or_default().push(id);
+        let reg = self.regs.get_mut(&fd).expect("checked above");
+        // Moving the Vec keeps its heap buffer where the SQE points.
+        reg.read_buf = Some(buf);
+        reg.inflight += 1;
         Ok(())
     }
 
-    fn submit_write(&mut self, fd: RawFd, token: Token, data: &[u8]) -> Result<(), SubmitError> {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(data);
-        let id = self.op_id();
-        let addr = buf.as_ptr() as u64;
-        let len = buf.len() as u32;
-        self.ops.insert(id, OpRec::Write { token, buf });
+    unsafe fn submit_write(
+        &mut self,
+        fd: RawFd,
+        _token: Token,
+        iov: &[IoSlice<'_>],
+    ) -> Result<(), SubmitError> {
+        // A second write would free the first one's iovecs under the kernel.
+        let reg = self.regs.get(&fd).expect("submit_write on a registered fd");
+        assert!(reg.write_iov.is_none(), "one write in flight per fd");
+        let slot = match self.iov_pool.pop() {
+            Some(mut slot) => {
+                *slot = WriteIovs::new(iov);
+                slot
+            }
+            None => Box::new(WriteIovs::new(iov)),
+        };
         let sqe = Sqe {
-            opcode: IORING_OP_WRITE,
+            opcode: IORING_OP_WRITEV,
             fd,
-            addr,
-            len,
-            user_data: id,
+            addr: slot.as_slice().as_ptr() as u64,
+            len: slot.as_slice().len() as u32,
+            user_data: user_data(fd, OP_WRITE),
             ..Sqe::default()
         };
         if let Err(e) = self.push_sqe(sqe) {
-            if let Some(OpRec::Write { buf, .. }) = self.ops.remove(&id) {
-                self.pool.push(buf);
-            }
+            self.iov_pool.push(slot);
             return Err(e);
         }
-        self.conn_ops.entry(fd).or_default().push(id);
+        let reg = self.regs.get_mut(&fd).expect("checked above");
+        reg.write_iov = Some(slot);
+        reg.inflight += 1;
         Ok(())
     }
 
@@ -681,20 +691,20 @@ impl Backend for UringBackend {
 
     fn wait(&mut self, out: &mut Vec<Cqe>, timeout: Option<Duration>) -> io::Result<usize> {
         let before = out.len();
-        self.flush_deferred();
+        out.append(&mut self.stash);
         // Don't block when completions are already waiting; still enter
         // once to submit anything queued.
-        if self.cq_ready() > 0 {
+        if out.len() > before || self.cq_ready() > 0 {
             self.enter(0, None)?;
         } else {
             self.enter(1, timeout)?;
         }
-        self.reap(out);
+        self.reap(out)?;
         Ok(out.len() - before)
     }
 
     fn registered(&self) -> usize {
-        self.conns.len() + self.polls.len()
+        self.regs.len()
     }
 }
 
@@ -718,6 +728,18 @@ mod tests {
         let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (b, _) = listener.accept().unwrap();
         (a, b)
+    }
+
+    /// Wait until at least one completion arrives (5 s at most).
+    fn wait_any(b: &mut UringBackend) -> Vec<Cqe> {
+        let mut got = Vec::new();
+        for _ in 0..100 {
+            if !got.is_empty() {
+                break;
+            }
+            b.wait(&mut got, Some(Duration::from_millis(50))).unwrap();
+        }
+        got
     }
 
     /// Every test is gated on the probe: refusing kernels skip, not fail.
@@ -748,13 +770,7 @@ mod tests {
         b.register_conn(fd, Token(7), Interest::BOTH).unwrap();
         b.submit_read(fd, Token(7)).unwrap();
         client.write_all(b"ping").unwrap();
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            if !got.is_empty() {
-                break;
-            }
-            b.wait(&mut got, Some(Duration::from_millis(50))).unwrap();
-        }
+        let mut got = wait_any(&mut b);
         let Some(Cqe { token, kind: CqeKind::ReadDone { buf, n, err: None } }) = got.pop() else {
             panic!("expected a clean ReadDone: {got:?}");
         };
@@ -762,14 +778,9 @@ mod tests {
         assert_eq!(&buf[..n], b"ping");
         b.recycle(buf);
 
-        b.submit_write(fd, Token(7), b"pong").unwrap();
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            if !got.is_empty() {
-                break;
-            }
-            b.wait(&mut got, Some(Duration::from_millis(50))).unwrap();
-        }
+        // SAFETY: a static byte string outlives the backend.
+        unsafe { b.submit_write(fd, Token(7), &[IoSlice::new(b"pong")]) }.unwrap();
+        let mut got = wait_any(&mut b);
         assert!(
             matches!(got.pop(), Some(Cqe { kind: CqeKind::WriteDone { n: 4, err: None }, .. })),
             "expected WriteDone n=4"
@@ -828,7 +839,10 @@ mod tests {
             );
             if !inflight {
                 let end = (submitted + 32 * 1024).min(TOTAL);
-                b.submit_write(fd, Token(3), &payload[submitted..end]).unwrap();
+                let iov = [IoSlice::new(&payload[submitted..end])];
+                // SAFETY: `payload` is neither mutated nor dropped while the
+                // backend lives, and the loop reaps each op before the next.
+                unsafe { b.submit_write(fd, Token(3), &iov) }.unwrap();
                 inflight = true;
             }
             got.clear();
@@ -866,13 +880,7 @@ mod tests {
         b.register_poll(fd, Token(42), Interest::READABLE).unwrap();
         for round in 0..2 {
             client.write_all(b"x").unwrap();
-            let mut got = Vec::new();
-            for _ in 0..100 {
-                if !got.is_empty() {
-                    break;
-                }
-                b.wait(&mut got, Some(Duration::from_millis(50))).unwrap();
-            }
+            let got = wait_any(&mut b);
             assert!(
                 matches!(
                     got.first(),
@@ -902,26 +910,29 @@ mod tests {
     }
 
     #[test]
-    fn deregister_cancels_and_completions_token_miss() {
+    fn deregister_cancels_and_reaps_in_flight_ops() {
+        // A read in flight on a silent socket and a write still queued in
+        // the SQ: deregister submits the write (it moves its bytes at
+        // once), cancels the read, and reaps both before returning. No
+        // completion for the fd surfaces afterwards, even when data then
+        // arrives.
         let mut b = ring_or_skip!();
-        let (server_side, _client) = pair();
+        let (server_side, mut client) = pair();
         let fd = server_side.as_raw_fd();
-        b.register_conn(fd, Token(5), Interest::READABLE).unwrap();
+        b.register_conn(fd, Token(5), Interest::BOTH).unwrap();
         b.submit_read(fd, Token(5)).unwrap();
-        b.deregister(fd).unwrap();
         let mut got = Vec::new();
-        for _ in 0..100 {
-            if !got.is_empty() {
-                break;
-            }
-            b.wait(&mut got, Some(Duration::from_millis(50))).unwrap();
-        }
-        match got.pop() {
-            Some(Cqe { token: Token(5), kind: CqeKind::ReadDone { buf, n: 0, err: Some(_) } }) => {
-                b.recycle(buf);
-            }
-            other => panic!("expected an errno'd ReadDone for the cancelled op: {other:?}"),
-        }
+        b.wait(&mut got, Some(Duration::ZERO)).unwrap();
+        assert!(got.is_empty(), "nothing to read yet: {got:?}");
+        // SAFETY: a static byte string outlives the backend.
+        unsafe { b.submit_write(fd, Token(5), &[IoSlice::new(b"bye")]) }.unwrap();
+        assert_eq!(b.deregister(fd).unwrap(), 3, "the queued write moved its bytes");
         assert_eq!(b.registered(), 0);
+        client.write_all(b"late").unwrap();
+        b.wait(&mut got, Some(Duration::from_millis(30))).unwrap();
+        assert!(got.is_empty(), "completion after deregister: {got:?}");
+        let mut echo = [0u8; 3];
+        std::io::Read::read_exact(&mut client, &mut echo).unwrap();
+        assert_eq!(&echo, b"bye");
     }
 }

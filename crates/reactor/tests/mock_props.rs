@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use reactor::{Backend, Cqe, CqeKind, Interest, MockCompletionBackend, MockConfig, Token};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::Duration;
@@ -156,7 +156,11 @@ proptest! {
                     all_done = false;
                     if !s.inflight {
                         let end = (s.cursor + 700).min(s.queue.len());
-                        b.submit_write(s.server.as_raw_fd(), Token(ci), &s.queue[s.cursor..end])
+                        let iov = [IoSlice::new(&s.queue[s.cursor..end])];
+                        // SAFETY: `s.queue` is never mutated and outlives
+                        // every `wait` on `b`, the only place the mock
+                        // reads submitted bytes.
+                        unsafe { b.submit_write(s.server.as_raw_fd(), Token(ci), &iov) }
                             .unwrap();
                         s.inflight = true;
                     }
