@@ -326,3 +326,152 @@ proptest! {
         );
     }
 }
+
+/// FNV-1a over a digest's `Debug` rendering: a compact fingerprint that
+/// pins exact simulator output across refactors.
+fn fingerprint(digest: &impl std::fmt::Debug) -> u64 {
+    format!("{digest:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// One fixed single-server run: the property-test rig stretched to 30 s so
+/// a catalog plan's 12–22 s window clears before the horizon.
+fn golden_run(arch: ServerArch, mode: AcceptMode, plan: Option<&str>) -> Testbed {
+    let mut cfg = cfg_with(FaultPlan::new("none", vec![]), arch, 0x601D);
+    cfg.fault_plan = plan.map(|n| FaultPlan::named(n).expect("catalog plan"));
+    cfg.accept_mode = mode;
+    cfg.duration = SimDuration::from_secs(30);
+    run(cfg)
+}
+
+/// Exact output of fixed single-server configurations, pinned so that a
+/// refactor which claims to change nothing provably changes nothing.
+/// Every mismatch is reported at once with its new fingerprint.
+#[test]
+fn golden_testbed_digests() {
+    let event = ServerArch::EventDriven { workers: 2 };
+    let threaded = ServerArch::Threaded { pool: 128 };
+    let staged = ServerArch::Staged {
+        parse_threads: 1,
+        send_threads: 2,
+    };
+    let sharded = ServerArch::EventDriven { workers: 4 };
+    let cases: [(&str, ServerArch, AcceptMode, Option<&str>, u64); 7] = [
+        (
+            "event",
+            event,
+            AcceptMode::Handoff,
+            None,
+            0x0149_af32_4cdc_e5d4,
+        ),
+        (
+            "event+never-reads",
+            event,
+            AcceptMode::Handoff,
+            Some("never-reads"),
+            0x4ac7_f69c_44f3_f401,
+        ),
+        (
+            "threaded",
+            threaded,
+            AcceptMode::Handoff,
+            None,
+            0xbf53_93f3_3446_435a,
+        ),
+        (
+            "threaded+fd-storm",
+            threaded,
+            AcceptMode::Handoff,
+            Some("fd-storm"),
+            0x87f9_e2cc_5c0a_03aa,
+        ),
+        (
+            "staged",
+            staged,
+            AcceptMode::Handoff,
+            None,
+            0x465e_e9dc_e097_58eb,
+        ),
+        (
+            "staged+outage",
+            staged,
+            AcceptMode::Handoff,
+            Some("outage"),
+            0x1da9_eb97_88ba_9ade,
+        ),
+        (
+            "sharded+worker-crash",
+            sharded,
+            AcceptMode::Sharded,
+            Some("worker-crash"),
+            0x8ca1_7790_ce09_28ae,
+        ),
+    ];
+    let mismatches: Vec<String> = cases
+        .iter()
+        .filter_map(|&(name, arch, mode, plan, want)| {
+            let got = fingerprint(&digest(&golden_run(arch, mode, plan)));
+            (got != want).then(|| format!("{name}: {got:#018x} (pinned {want:#018x})"))
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "digests moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Exact output of the two fleet shapes the fleet's unit tests exercise:
+/// a full host crash with restart, and a rolling restart.
+#[test]
+fn golden_fleet_digests() {
+    let crash = {
+        let mut cfg = FleetConfig::baseline(3, Strategy::LeastConn);
+        cfg.num_clients = 90;
+        cfg.fleet_plan = Some(FleetFaultPlan::new(
+            "host-down",
+            vec![HostFault {
+                host: 0,
+                event: FaultEvent {
+                    start_ns: 12 * SEC,
+                    duration_ns: 8 * SEC,
+                    kind: FaultKind::WorkerCrash {
+                        fraction: 1.0,
+                        restart: true,
+                    },
+                },
+            }],
+        ));
+        cfg
+    };
+    let rolling = {
+        let mut cfg = FleetConfig::baseline(3, Strategy::LeastConn);
+        cfg.num_clients = 90;
+        cfg.rolling_restart = Some(serversim::RollingRestart {
+            start: SimDuration::from_secs(10),
+            stagger: SimDuration::from_secs(6),
+            drain_timeout: SimDuration::from_secs(2),
+            restart_down: SimDuration::from_secs(1),
+        });
+        cfg
+    };
+    let cases = [
+        ("host-crash", crash, 0x439e_7f35_f9db_0539),
+        ("rolling-restart", rolling, 0x0175_3ebd_db5a_7638),
+    ];
+    let mismatches: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(name, cfg, want)| {
+            let got = fingerprint(&fleet_digest(&run_fleet(cfg)));
+            (got != want).then(|| format!("{name}: {got:#018x} (pinned {want:#018x})"))
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "digests moved:\n{}",
+        mismatches.join("\n")
+    );
+}
