@@ -17,14 +17,15 @@
 //! silently dropped, so "zero lost replies" is a checked fact.
 
 use crate::balancer::{HealthConfig, HealthState, LoadBalancer, Strategy};
+use crate::client::{self, ClientConn, ClientDriver, ClientEv, ClientHost, FlowTable, Parts};
 use crate::conntable::ConnTable;
-use clientsim::{Client, ClientAction, ClientConfig, ClientId, ClientMetrics};
-use desim::{Ctx, Engine, EventId, Model, Rng, RunOutcome, SimDuration, SimTime};
+use clientsim::{ClientConfig, ClientId, ClientMetrics};
+use desim::{Ctx, Engine, Model, Rng, RunOutcome, SimDuration, SimTime};
 use faults::{DrainReport, FaultKind, FleetFaultPlan, RetryBudget};
 use hostsim::{Cpu, CpuCosts, JobToken, LaneId};
 use netsim::{CloseKind, ConnId, ConnState, Connection, FlowId, LinkConfig, PsLink};
 use obs::{GaugeKind, GaugeLog, Obs};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use workload::{FileId, FileSet, SurgeConfig};
 
 /// Rolling-restart schedule: each host in index order is drained, held down
@@ -200,21 +201,13 @@ impl FleetConfig {
 /// Events of the fleet model.
 #[derive(Debug)]
 pub enum FEv {
-    ClientArrive(ClientId),
-    ClientConnect(ClientId),
+    /// A client-side event (see [`ClientEv`]); the frontend is link 0.
+    Client(ClientEv),
     /// A SYN reached the balancer's frontend: route it.
     SynAtLb(ConnId),
-    SynRetry(ConnId),
-    EstablishedAtClient(ConnId),
-    ResetAtClient(ConnId),
-    RefusedAtClient(ConnId),
     /// A burst of pipelined requests reached the connection's current host.
     RequestsAtConn(ConnId, Vec<FileId>),
-    ClientThinkDone(ClientId),
-    ClientTimeout(ClientId),
     CpuDone { host: usize, token: JobToken },
-    /// The earliest flow on the frontend link completes around now.
-    LinkTick,
     /// Probe every host.
     ProbeRound,
     /// One host's probe answered (or its deadline passed).
@@ -234,6 +227,12 @@ pub enum FEv {
     EndRun,
 }
 
+impl From<ClientEv> for FEv {
+    fn from(ev: ClientEv) -> FEv {
+        FEv::Client(ev)
+    }
+}
+
 /// CPU job payloads. Every connection-bound job carries the connection's
 /// epoch at submission; a mismatch at completion means the connection was
 /// evacuated in between and the result belongs to a dead replica.
@@ -246,33 +245,11 @@ enum FJob {
     Stall,
 }
 
-/// Per-client runtime bookkeeping (timers and the current connection).
-#[derive(Debug, Default)]
-struct ClientRt {
-    conn: Option<ConnId>,
-    timeout_ev: Option<EventId>,
-    #[allow(dead_code)]
-    think_ev: Option<EventId>,
-    #[allow(dead_code)]
-    connect_ev: Option<EventId>,
-}
-
-/// What a frontend flow is carrying.
-#[derive(Debug)]
-enum FlowKind {
-    Reply {
-        conn: ConnId,
-        file: FileId,
-        body_bytes: u64,
-    },
-    Overhead,
-}
-
 /// Per-connection record. The balancer owns the client side: `host` is the
 /// replica currently serving it and may change over the connection's life
 /// (failover, drain handoff) without the client noticing.
 #[derive(Debug)]
-struct FConn {
+pub(crate) struct FConn {
     client: ClientId,
     net: Connection,
     host: Option<usize>,
@@ -359,14 +336,11 @@ enum Evac {
 pub struct FleetTestbed {
     cfg: FleetConfig,
     files: FileSet,
-    clients: Vec<Client>,
-    rt: Vec<ClientRt>,
+    driver: ClientDriver,
     pub metrics: ClientMetrics,
     conns: ConnTable<FConn>,
-    flows: HashMap<FlowId, FlowKind>,
-    next_flow: u64,
-    frontend: PsLink,
-    link_ev: Option<EventId>,
+    /// The frontend link; reply flows carry `(conn, file, body bytes)`.
+    flows: FlowTable<(ConnId, FileId, u64)>,
     replicas: Vec<Replica>,
     pub lb: LoadBalancer,
     pub budget: RetryBudget,
@@ -404,12 +378,13 @@ impl FleetTestbed {
     pub fn new(cfg: FleetConfig) -> FleetTestbed {
         let mut build_rng = Rng::new(cfg.seed ^ 0x5EED_F11E);
         let files = FileSet::build(&cfg.surge, &mut build_rng);
-        let client_root = Rng::new(cfg.seed ^ 0xC11E_17A5);
-        let total = cfg.total_clients();
-        let clients: Vec<Client> = (0..total)
-            .map(|i| Client::new(ClientId(i), cfg.client.clone(), &files, &client_root))
-            .collect();
-        let rt = (0..total).map(|_| ClientRt::default()).collect();
+        let driver = ClientDriver::new(
+            cfg.total_clients(),
+            &cfg.client,
+            &files,
+            cfg.seed,
+            cfg.connection_overhead_bytes,
+        );
         let replicas: Vec<Replica> = (0..cfg.num_hosts)
             .map(|h| {
                 let speed = cfg.host_speed.get(h).copied().unwrap_or(1.0);
@@ -435,14 +410,10 @@ impl FleetTestbed {
         FleetTestbed {
             cfg,
             files,
-            clients,
-            rt,
+            driver,
             metrics,
             conns: ConnTable::new(),
-            flows: HashMap::new(),
-            next_flow: 0,
-            frontend,
-            link_ev: None,
+            flows: FlowTable::new(vec![frontend]),
             replicas,
             lb,
             budget,
@@ -483,7 +454,7 @@ impl FleetTestbed {
     // ------------------------------------------------------------------
 
     fn frontend_latency(&self) -> SimDuration {
-        self.frontend.config().latency
+        self.flows.links[0].config().latency
     }
 
     /// Client-to-host one-way latency (frontend plus any scoped jitter).
@@ -518,29 +489,6 @@ impl FleetTestbed {
         }
     }
 
-    fn arm_client_timeout(&mut self, ctx: &mut Ctx<'_, FEv>, cid: ClientId) {
-        if let Some(old) = self.rt[cid.0 as usize].timeout_ev.take() {
-            ctx.cancel(old);
-        }
-        let d = self.clients[cid.0 as usize].timeout();
-        self.rt[cid.0 as usize].timeout_ev = Some(ctx.schedule_in(d, FEv::ClientTimeout(cid)));
-    }
-
-    fn disarm_client_timeout(&mut self, ctx: &mut Ctx<'_, FEv>, cid: ClientId) {
-        if let Some(ev) = self.rt[cid.0 as usize].timeout_ev.take() {
-            ctx.cancel(ev);
-        }
-    }
-
-    fn resched_link(&mut self, ctx: &mut Ctx<'_, FEv>) {
-        if let Some(old) = self.link_ev.take() {
-            ctx.cancel(old);
-        }
-        if let Some((t, _)) = self.frontend.next_completion(ctx.now()) {
-            self.link_ev = Some(ctx.schedule_at(t.max(ctx.now()), FEv::LinkTick));
-        }
-    }
-
     /// Submit a CPU job on `host` and schedule completions for whatever
     /// started. Connection-bound jobs bump the pending counter.
     fn submit_job(
@@ -568,39 +516,7 @@ impl FleetTestbed {
     fn refuse_syn(&mut self, ctx: &mut Ctx<'_, FEv>, conn: ConnId) {
         self.syns_refused += 1;
         let lat = self.frontend_latency();
-        ctx.schedule_in(lat, FEv::RefusedAtClient(conn));
-    }
-
-    /// Open a new connection for `cid` and fire its SYN at the balancer.
-    fn do_connect(&mut self, ctx: &mut Ctx<'_, FEv>, cid: ClientId) {
-        let now = ctx.now();
-        let conn = self.conns.insert_with(|conn| FConn {
-            client: cid,
-            net: Connection::open(conn, now),
-            host: None,
-            epoch: 0,
-            inflight: Vec::new(),
-            pipeline: VecDeque::new(),
-            active_flow: None,
-            paused: None,
-            pending_jobs: 0,
-        });
-        self.rt[cid.0 as usize].conn = Some(conn);
-        self.arm_client_timeout(ctx, cid);
-        self.start_overhead_flow(ctx, self.cfg.connection_overhead_bytes);
-        let lat = self.frontend_latency();
-        ctx.schedule_in(lat, FEv::SynAtLb(conn));
-    }
-
-    fn start_overhead_flow(&mut self, ctx: &mut Ctx<'_, FEv>, bytes: f64) {
-        if bytes <= 0.0 {
-            return;
-        }
-        self.next_flow += 1;
-        let fid = FlowId(self.next_flow);
-        self.flows.insert(fid, FlowKind::Overhead);
-        self.frontend.start_flow(ctx.now(), fid, bytes);
-        self.resched_link(ctx);
+        ctx.schedule_in(lat, ClientEv::RefusedAtClient(conn).into());
     }
 
     /// Start the next queued reply flow on `conn`, if idle and allowed.
@@ -624,54 +540,9 @@ impl FleetTestbed {
         let Some((file, bytes)) = rec.pipeline.pop_front() else {
             return;
         };
-        self.next_flow += 1;
-        let fid = FlowId(self.next_flow);
-        rec.active_flow = Some(fid);
-        self.flows.insert(
-            fid,
-            FlowKind::Reply {
-                conn,
-                file,
-                body_bytes: bytes,
-            },
-        );
-        self.frontend.start_flow(ctx.now(), fid, bytes as f64);
-        self.resched_link(ctx);
-    }
-
-    /// Tear down a connection from the client side (abort or clean close).
-    fn close_conn_client_side(&mut self, ctx: &mut Ctx<'_, FEv>, conn: ConnId, kind: CloseKind) {
-        let now = ctx.now();
-        let Some(rec) = self.conns.get_mut(&conn) else {
-            return;
-        };
-        let owed = rec.inflight.len() as u64;
-        rec.net.close(now, kind);
-        rec.inflight.clear();
-        rec.pipeline.clear();
-        rec.paused = None;
-        rec.epoch += 1;
-        rec.pending_jobs = 0;
-        let host = rec.host.take();
-        let active = rec.active_flow.take();
-        if let Some(fid) = active {
-            self.frontend.cancel_flow(now, fid);
-            self.flows.remove(&fid);
-            self.resched_link(ctx);
-        }
-        if let Some(h) = host {
-            self.lb.on_conn_close(h);
-            if kind == CloseKind::ClientAbort {
-                // A socket-timeout expiry is a passive health signal, and
-                // any owed replies die with the client's interest in them —
-                // reported apart from fleet-caused loss.
-                self.timeout_abandoned += owed;
-                let t = self.lb.passive_failure(h);
-                self.note(now, h, t);
-            }
-        }
-        self.start_overhead_flow(ctx, self.cfg.connection_overhead_bytes * 0.5);
-        self.maybe_gc(conn);
+        let reply = (conn, file, bytes);
+        rec.active_flow = Some(self.flows.open(ctx.now(), 0, bytes as f64, Some(reply)));
+        self.flows.resched(ctx, 0);
     }
 
     /// Server-side reset: close the record and tell the client.
@@ -691,23 +562,10 @@ impl FleetTestbed {
         }
         let active = self.conns.get_mut(&conn).and_then(|r| r.active_flow.take());
         if let Some(fid) = active {
-            self.frontend.cancel_flow(ctx.now(), fid);
-            self.flows.remove(&fid);
-            self.resched_link(ctx);
+            self.flows.cancel(ctx.now(), 0, fid);
+            self.flows.resched(ctx, 0);
         }
-        ctx.schedule_in(lat, FEv::ResetAtClient(conn));
-    }
-
-    /// Drop the record once nothing references it any more.
-    fn maybe_gc(&mut self, conn: ConnId) {
-        let Some(rec) = self.conns.get(&conn) else {
-            return;
-        };
-        let closed = matches!(rec.net.state, ConnState::Closed(_));
-        let current = self.rt[rec.client.0 as usize].conn == Some(conn);
-        if closed && rec.pending_jobs == 0 && rec.active_flow.is_none() && !current {
-            self.conns.remove(&conn);
-        }
+        ctx.schedule_in(lat, ClientEv::ResetAtClient(conn).into());
     }
 
     /// All open connections currently homed on `host`, in id order so
@@ -774,12 +632,11 @@ impl FleetTestbed {
                     rec.pipeline.clear();
                     rec.paused = None;
                     if let Some(fid) = rec.active_flow.take() {
-                        self.frontend.cancel_flow(now, fid);
-                        self.flows.remove(&fid);
+                        self.flows.cancel(now, 0, fid);
                     }
                     (rec.inflight.len() as u64, rec.inflight.clone())
                 };
-                self.resched_link(ctx);
+                self.flows.resched(ctx, 0);
                 let sib = self.sibling_for(now, from);
                 if owed == 0 {
                     match sib {
@@ -869,52 +726,13 @@ impl FleetTestbed {
         }
     }
 
-    /// Execute a client action returned by the state machine.
-    fn run_client_action(&mut self, ctx: &mut Ctx<'_, FEv>, cid: ClientId, action: ClientAction) {
-        match action {
-            ClientAction::Connect => self.do_connect(ctx, cid),
-            ClientAction::ConnectAfter(d) => {
-                let ev = ctx.schedule_in(d, FEv::ClientConnect(cid));
-                self.rt[cid.0 as usize].connect_ev = Some(ev);
-            }
-            ClientAction::SendBurst(files) => {
-                let conn = self.rt[cid.0 as usize]
-                    .conn
-                    .expect("burst with no connection");
-                self.arm_client_timeout(ctx, cid);
-                let host = self.conns.get(&conn).and_then(|r| r.host);
-                let mut lat = self.latency_of(host);
-                // Scoped slow-loris: afflicted clients trickle their bytes
-                // to this host, so the burst takes seconds to arrive fully.
-                if let Some(h) = host {
-                    let loris = self.replicas[h].loris_clients;
-                    if loris > 0 && cid.0 < loris {
-                        lat += SimDuration::from_millis(2_000 + (cid.0 as u64 % 7) * 250);
-                    }
-                }
-                ctx.schedule_in(lat, FEv::RequestsAtConn(conn, files));
-            }
-            ClientAction::Think(d) => {
-                let ev = ctx.schedule_in(d, FEv::ClientThinkDone(cid));
-                self.rt[cid.0 as usize].think_ev = Some(ev);
-            }
-            ClientAction::CloseThenConnect => {
-                if let Some(conn) = self.rt[cid.0 as usize].conn.take() {
-                    self.close_conn_client_side(ctx, conn, CloseKind::ClientFin);
-                    self.maybe_gc(conn);
-                }
-                self.do_connect(ctx, cid);
-            }
-        }
-    }
-
     /// One periodic gauge sweep: fleet aggregates into the standard schema
     /// plus per-replica logs with the same sample layout.
     fn sample_gauges(&mut self, now: SimTime) {
         let t = now.as_nanos();
         let queued: usize = self.replicas.iter().map(|r| r.cpu.queued_total()).sum();
         let running: usize = self.replicas.iter().map(|r| r.cpu.running_total()).sum();
-        let lg = self.frontend.gauges();
+        let lg = self.flows.links[0].gauges();
         let g = &mut self.obs.gauges;
         g.push(t, GaugeKind::RunQueueDepth, queued as f64);
         g.push(t, GaugeKind::CpuRunning, running as f64);
@@ -929,45 +747,6 @@ impl FleetTestbed {
         }
     }
 
-    /// Handle a completed reply flow: pop the ledger, deliver to the
-    /// client, and continue this connection's output.
-    fn on_reply_flow_done(
-        &mut self,
-        ctx: &mut Ctx<'_, FEv>,
-        conn: ConnId,
-        file: FileId,
-        body_bytes: u64,
-    ) {
-        let Some(rec) = self.conns.get_mut(&conn) else {
-            return;
-        };
-        rec.active_flow = None;
-        rec.net.replies += 1;
-        if let Some(pos) = rec.inflight.iter().position(|&f| f == file) {
-            rec.inflight.remove(pos);
-        }
-        let cid = rec.client;
-        let host = rec.host;
-        if let Some(h) = host {
-            if self.measuring {
-                self.replicas[h].replies += 1;
-            }
-            self.lb.passive_success(h);
-        }
-        self.disarm_client_timeout(ctx, cid);
-        let action = {
-            let client = &mut self.clients[cid.0 as usize];
-            client.on_reply(ctx.now(), body_bytes, &self.files, &mut self.metrics)
-        };
-        match action {
-            None => self.arm_client_timeout(ctx, cid),
-            Some(a) => self.run_client_action(ctx, cid, a),
-        }
-        self.try_start_flow(ctx, conn);
-        self.maybe_drain_rehome(ctx.now(), conn);
-        self.maybe_gc(conn);
-    }
-
     // ------------------------------------------------------------------
     // event handlers
     // ------------------------------------------------------------------
@@ -979,7 +758,7 @@ impl FleetTestbed {
         let cid = match self.conns.get(&conn) {
             Some(rec)
                 if matches!(rec.net.state, ConnState::Connecting)
-                    && self.rt[rec.client.0 as usize].conn == Some(conn) =>
+                    && self.driver.is_current(rec.client, conn) =>
             {
                 rec.client
             }
@@ -999,8 +778,8 @@ impl FleetTestbed {
             // failure signal. The client's SYN retransmit re-picks.
             let t = self.lb.passive_failure(h);
             self.note(now, h, t);
-            let d = self.clients[cid.0 as usize].syn_retry();
-            ctx.schedule_in(d, FEv::SynRetry(conn));
+            let d = self.driver.client(cid).syn_retry();
+            ctx.schedule_in(d, ClientEv::SynRetry(conn).into());
             return;
         }
         let refusing = self.replicas[h].refuse_all
@@ -1055,9 +834,9 @@ impl FleetTestbed {
                     let rec = self.conns.get_mut(&conn).expect("checked");
                     rec.pending_jobs = rec.pending_jobs.saturating_sub(1);
                     let lat = self.latency_of(Some(host));
-                    ctx.schedule_in(lat, FEv::EstablishedAtClient(conn));
+                    ctx.schedule_in(lat, ClientEv::EstablishedAtClient(conn).into());
                 }
-                self.maybe_gc(conn);
+                client::maybe_gc(self, conn);
             }
             FJob::Parse { conn, file, epoch } => {
                 let fresh = self.conns.get(&conn).is_some_and(|r| {
@@ -1076,7 +855,7 @@ impl FleetTestbed {
                     let lane = self.replicas[host].kernel_lane;
                     self.submit_job(ctx, host, lane, service, FJob::Send { conn, file, epoch });
                 }
-                self.maybe_gc(conn);
+                client::maybe_gc(self, conn);
             }
             FJob::Send { conn, file, epoch } => {
                 let fresh = self.conns.get(&conn).is_some_and(|r| {
@@ -1089,31 +868,10 @@ impl FleetTestbed {
                     rec.pipeline.push_back((file, bytes));
                     self.try_start_flow(ctx, conn);
                 }
-                self.maybe_gc(conn);
+                client::maybe_gc(self, conn);
             }
             FJob::Reject | FJob::Stall => {}
         }
-    }
-
-    fn on_link_tick(&mut self, ctx: &mut Ctx<'_, FEv>) {
-        self.link_ev = None;
-        loop {
-            match self.frontend.next_completion(ctx.now()) {
-                Some((t, _)) if t <= ctx.now() => {
-                    let fid = self.frontend.complete_next(ctx.now()).expect("due flow");
-                    match self.flows.remove(&fid) {
-                        Some(FlowKind::Reply {
-                            conn,
-                            file,
-                            body_bytes,
-                        }) => self.on_reply_flow_done(ctx, conn, file, body_bytes),
-                        Some(FlowKind::Overhead) | None => {}
-                    }
-                }
-                _ => break,
-            }
-        }
-        self.resched_link(ctx);
     }
 
     fn on_fault_begin(&mut self, ctx: &mut Ctx<'_, FEv>, idx: usize) {
@@ -1127,16 +885,13 @@ impl FleetTestbed {
                 for conn in self.conns_on(h) {
                     let rec = self.conns.get_mut(&conn).expect("listed");
                     if let Some(fid) = rec.active_flow.take() {
-                        let remaining = self.frontend.cancel_flow(now, fid).unwrap_or(0.0);
-                        if let Some(FlowKind::Reply {
-                            file, body_bytes, ..
-                        }) = self.flows.remove(&fid)
-                        {
+                        let (remaining, reply) = self.flows.cancel(now, 0, fid);
+                        if let Some((_, file, body_bytes)) = reply {
                             rec.paused = Some((file, body_bytes, remaining));
                         }
                     }
                 }
-                self.resched_link(ctx);
+                self.flows.resched(ctx, 0);
             }
             FaultKind::LinkDegrade {
                 capacity_factor, ..
@@ -1196,24 +951,15 @@ impl FleetTestbed {
                 for conn in self.conns_on(h) {
                     let rec = self.conns.get_mut(&conn).expect("listed");
                     if let Some((file, body_bytes, remaining)) = rec.paused.take() {
-                        self.next_flow += 1;
-                        let fid = FlowId(self.next_flow);
+                        let reply = (conn, file, body_bytes);
+                        let fid = self.flows.open(now, 0, remaining.max(1.0), Some(reply));
                         rec.active_flow = Some(fid);
-                        self.flows.insert(
-                            fid,
-                            FlowKind::Reply {
-                                conn,
-                                file,
-                                body_bytes,
-                            },
-                        );
-                        self.frontend.start_flow(now, fid, remaining.max(1.0));
                     }
                 }
                 for conn in self.conns_on(h) {
                     self.try_start_flow(ctx, conn);
                 }
-                self.resched_link(ctx);
+                self.flows.resched(ctx, 0);
             }
             FaultKind::LinkDegrade { .. } => self.replicas[h].slow_factor = 1.0,
             FaultKind::LatencyJitter { .. } => {
@@ -1288,95 +1034,147 @@ impl FleetTestbed {
     }
 }
 
+impl ClientConn for FConn {
+    fn client(&self) -> ClientId {
+        self.client
+    }
+    fn net(&self) -> &Connection {
+        &self.net
+    }
+    fn net_mut(&mut self) -> &mut Connection {
+        &mut self.net
+    }
+    fn unreferenced(&self) -> bool {
+        self.pending_jobs == 0 && self.active_flow.is_none()
+    }
+}
+
+impl ClientHost for FleetTestbed {
+    type Ev = FEv;
+    type Conn = FConn;
+    type Reply = (ConnId, FileId, u64);
+
+    fn parts(&mut self) -> Parts<'_, FConn, (ConnId, FileId, u64)> {
+        Parts {
+            driver: &mut self.driver,
+            conns: &mut self.conns,
+            flows: &mut self.flows,
+            files: &self.files,
+            metrics: &mut self.metrics,
+            stale_events: &mut self.stale_events,
+        }
+    }
+
+    fn open_conn(&mut self, now: SimTime, cid: ClientId) -> ConnId {
+        self.conns.insert_with(|conn| FConn {
+            client: cid,
+            net: Connection::open(conn, now),
+            host: None,
+            epoch: 0,
+            inflight: Vec::new(),
+            pipeline: VecDeque::new(),
+            active_flow: None,
+            paused: None,
+            pending_jobs: 0,
+        })
+    }
+
+    fn syn(conn: ConnId) -> FEv {
+        FEv::SynAtLb(conn)
+    }
+
+    fn link(&self, _conn: ConnId) -> usize {
+        0
+    }
+
+    fn latency(&self, conn: ConnId) -> SimDuration {
+        self.latency_of(self.conns.get(&conn).and_then(|r| r.host))
+    }
+
+    fn close_client_side(&mut self, ctx: &mut Ctx<'_, FEv>, conn: ConnId, kind: CloseKind) {
+        let now = ctx.now();
+        let Some(rec) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        let owed = rec.inflight.len() as u64;
+        rec.net.close(now, kind);
+        rec.inflight.clear();
+        rec.pipeline.clear();
+        rec.paused = None;
+        rec.epoch += 1;
+        rec.pending_jobs = 0;
+        let host = rec.host.take();
+        let active = rec.active_flow.take();
+        if let Some(fid) = active {
+            self.flows.cancel(now, 0, fid);
+            self.flows.resched(ctx, 0);
+        }
+        if let Some(h) = host {
+            self.lb.on_conn_close(h);
+            if kind == CloseKind::ClientAbort {
+                // A socket-timeout expiry is a passive health signal, and
+                // any owed replies die with the client's interest in them —
+                // reported apart from fleet-caused loss.
+                self.timeout_abandoned += owed;
+                let t = self.lb.passive_failure(h);
+                self.note(now, h, t);
+            }
+        }
+        let bytes = self.cfg.connection_overhead_bytes * 0.5;
+        self.flows.start_overhead_flow(ctx, 0, bytes);
+        client::maybe_gc(self, conn);
+    }
+
+    /// Scoped slow loris: afflicted clients trickle their bytes to the
+    /// connection's host.
+    fn loris_clients(&self, conn: ConnId) -> u32 {
+        let host = self.conns.get(&conn).and_then(|r| r.host);
+        host.map_or(0, |h| self.replicas[h].loris_clients)
+    }
+
+    fn burst(conn: ConnId, files: Vec<FileId>) -> FEv {
+        FEv::RequestsAtConn(conn, files)
+    }
+
+    /// Pop the ledger, deliver to the client, and continue this
+    /// connection's output.
+    fn reply_done(&mut self, ctx: &mut Ctx<'_, FEv>, reply: (ConnId, FileId, u64)) {
+        let (conn, file, body_bytes) = reply;
+        let Some(rec) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        rec.active_flow = None;
+        rec.net.replies += 1;
+        if let Some(pos) = rec.inflight.iter().position(|&f| f == file) {
+            rec.inflight.remove(pos);
+        }
+        let cid = rec.client;
+        let host = rec.host;
+        if let Some(h) = host {
+            if self.measuring {
+                self.replicas[h].replies += 1;
+            }
+            self.lb.passive_success(h);
+        }
+        client::deliver_reply(self, ctx, cid, body_bytes);
+        self.try_start_flow(ctx, conn);
+        self.maybe_drain_rehome(ctx.now(), conn);
+        client::maybe_gc(self, conn);
+    }
+}
+
 impl Model for FleetTestbed {
     type Event = FEv;
 
     fn handle(&mut self, ctx: &mut Ctx<'_, FEv>, ev: FEv) {
         match ev {
-            FEv::ClientArrive(cid) => {
-                let action = self.clients[cid.0 as usize].on_start(ctx.now());
-                self.run_client_action(ctx, cid, action);
-            }
-            FEv::ClientConnect(cid) => {
-                self.rt[cid.0 as usize].connect_ev = None;
-                self.do_connect(ctx, cid);
-            }
+            FEv::Client(ev) => client::handle(self, ctx, ev),
             FEv::SynAtLb(conn) => self.on_syn_at_lb(ctx, conn),
-            FEv::SynRetry(conn) => {
-                let alive = self.conns.get(&conn).is_some_and(|r| {
-                    matches!(r.net.state, ConnState::Connecting)
-                        && self.rt[r.client.0 as usize].conn == Some(conn)
-                });
-                if !alive {
-                    self.stale_events += 1;
-                    return;
-                }
-                // The retransmitted SYN costs a fraction of a fresh
-                // handshake's wire overhead.
-                self.start_overhead_flow(ctx, self.cfg.connection_overhead_bytes * 0.25);
-                let lat = self.frontend_latency();
-                ctx.schedule_in(lat, FEv::SynAtLb(conn));
-            }
-            FEv::EstablishedAtClient(conn) => {
-                let ok = self.conns.get(&conn).is_some_and(|r| {
-                    matches!(r.net.state, ConnState::Connecting)
-                        && self.rt[r.client.0 as usize].conn == Some(conn)
-                });
-                if !ok {
-                    self.stale_events += 1;
-                    return;
-                }
-                let now = ctx.now();
-                let cid = {
-                    let rec = self.conns.get_mut(&conn).expect("checked");
-                    rec.net.establish(now);
-                    rec.client
-                };
-                let action = self.clients[cid.0 as usize].on_connected(now, &mut self.metrics);
-                self.run_client_action(ctx, cid, action);
-            }
-            FEv::ResetAtClient(conn) => {
-                let cid = match self.conns.get(&conn) {
-                    Some(rec) if self.rt[rec.client.0 as usize].conn == Some(conn) => rec.client,
-                    _ => {
-                        self.stale_events += 1;
-                        return;
-                    }
-                };
-                self.disarm_client_timeout(ctx, cid);
-                self.rt[cid.0 as usize].conn = None;
-                let action =
-                    self.clients[cid.0 as usize].on_reset(ctx.now(), &self.files, &mut self.metrics);
-                self.run_client_action(ctx, cid, action);
-                self.maybe_gc(conn);
-            }
-            FEv::RefusedAtClient(conn) => {
-                let ok = self.conns.get(&conn).is_some_and(|r| {
-                    matches!(r.net.state, ConnState::Connecting)
-                        && self.rt[r.client.0 as usize].conn == Some(conn)
-                });
-                if !ok {
-                    self.stale_events += 1;
-                    return;
-                }
-                let now = ctx.now();
-                let cid = {
-                    let rec = self.conns.get_mut(&conn).expect("checked");
-                    rec.net.close(now, CloseKind::ServerRefused);
-                    rec.client
-                };
-                self.disarm_client_timeout(ctx, cid);
-                self.rt[cid.0 as usize].conn = None;
-                let action =
-                    self.clients[cid.0 as usize].on_refused(now, &self.files, &mut self.metrics);
-                self.run_client_action(ctx, cid, action);
-                self.maybe_gc(conn);
-            }
             FEv::RequestsAtConn(conn, files) => {
                 let (h, epoch) = match self.conns.get(&conn) {
                     Some(rec) if rec.net.send_would_reset() => {
                         let lat = self.frontend_latency();
-                        ctx.schedule_in(lat, FEv::ResetAtClient(conn));
+                        ctx.schedule_in(lat, ClientEv::ResetAtClient(conn).into());
                         return;
                     }
                     Some(rec) if rec.net.is_established() && rec.host.is_some() => {
@@ -1404,22 +1202,7 @@ impl Model for FleetTestbed {
                     self.submit_job(ctx, h, lane, service, FJob::Parse { conn, file, epoch });
                 }
             }
-            FEv::ClientThinkDone(cid) => {
-                self.rt[cid.0 as usize].think_ev = None;
-                let action = self.clients[cid.0 as usize].on_think_done(ctx.now(), &mut self.metrics);
-                self.run_client_action(ctx, cid, action);
-            }
-            FEv::ClientTimeout(cid) => {
-                self.rt[cid.0 as usize].timeout_ev = None;
-                if let Some(conn) = self.rt[cid.0 as usize].conn.take() {
-                    self.close_conn_client_side(ctx, conn, CloseKind::ClientAbort);
-                }
-                let action =
-                    self.clients[cid.0 as usize].on_timeout(ctx.now(), &self.files, &mut self.metrics);
-                self.run_client_action(ctx, cid, action);
-            }
             FEv::CpuDone { host, token } => self.on_cpu_done(ctx, host, token),
-            FEv::LinkTick => self.on_link_tick(ctx),
             FEv::ProbeRound => {
                 let now = ctx.now();
                 for h in 0..self.cfg.num_hosts {
@@ -1477,7 +1260,7 @@ pub fn run_fleet(cfg: FleetConfig) -> FleetTestbed {
     let duration = cfg.duration;
     let warmup = cfg.warmup;
     let ramp = cfg.ramp;
-    let num_clients = cfg.num_clients;
+    let n = cfg.num_clients;
     let surge_clients = cfg.surge_clients;
     let surge_at = cfg.surge_at;
     let num_hosts = cfg.num_hosts;
@@ -1498,15 +1281,10 @@ pub fn run_fleet(cfg: FleetConfig) -> FleetTestbed {
     let mut engine = Engine::new(testbed, seed ^ 0xD15C_0DE5);
     let mut arrivals = Rng::new(seed ^ 0xA55E_55ED);
     let ramp_ns = ramp.as_nanos().max(1);
-    for i in 0..num_clients {
-        let at = SimTime::ZERO + SimDuration::from_nanos(arrivals.below(ramp_ns));
-        engine.schedule_at(at, FEv::ClientArrive(ClientId(i)));
-    }
+    client::schedule_arrivals(&mut engine, &mut arrivals, 0..n, SimTime::ZERO, ramp_ns);
     if let Some(at) = surge_at {
-        for i in 0..surge_clients {
-            let t = SimTime::ZERO + at + SimDuration::from_nanos(arrivals.below(200_000_000));
-            engine.schedule_at(t, FEv::ClientArrive(ClientId(num_clients + i)));
-        }
+        let (ids, from) = (n..n + surge_clients, SimTime::ZERO + at);
+        client::schedule_arrivals(&mut engine, &mut arrivals, ids, from, 200_000_000);
     }
     for (idx, (start_ns, end_ns)) in plan_windows.into_iter().enumerate() {
         engine.schedule_at(

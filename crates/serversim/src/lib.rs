@@ -3,6 +3,7 @@
 //! population.
 //!
 //! * [`config`] — one struct per experiment run ([`TestbedConfig`]);
+//! * [`client`] — the emulated client population both testbeds share;
 //! * [`threaded`] — Apache-worker-style pool/backlog bookkeeping;
 //! * [`event_driven`] — NIO-style acceptor/selector bookkeeping;
 //! * [`testbed`] — the discrete-event model wiring everything together;
@@ -11,6 +12,7 @@
 //! * [`fleet`] — the N-replica testbed behind the balancer.
 
 pub mod balancer;
+pub mod client;
 pub mod config;
 pub mod conntable;
 pub mod event_driven;

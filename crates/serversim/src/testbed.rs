@@ -7,7 +7,8 @@
 //! on the architecture's lanes, replies become processor-sharing flows back
 //! over the link, and every client-visible outcome (establishment, reply
 //! bytes, resets, silence) is fed to the `clientsim` state machines, which
-//! decide what the emulated user does next.
+//! decide what the emulated user does next. The client half itself is
+//! the [`client`](crate::client) driver this rig shares with the fleet.
 //!
 //! Event-flow summary per request:
 //!
@@ -18,44 +19,33 @@
 //! flow completes --(fair-shared link)--> client.on_reply -> next action
 //! ```
 
+use crate::client::{
+    self, ClientConn, ClientDriver, ClientEv, ClientHost, ClientObs, FlowTable, Parts,
+};
 use crate::config::{ServerArch, TestbedConfig};
 use crate::conntable::ConnTable;
 use crate::event_driven::{AcceptOutcome, EventServer};
 use crate::threaded::{SynOutcome, ThreadedServer};
-use clientsim::{Client, ClientAction, ClientId, ClientMetrics};
+use clientsim::{ClientId, ClientMetrics};
 use faults::AcceptMode;
 use desim::{Ctx, Engine, EventId, Model, Rng, RunOutcome, SimDuration, SimTime, Trace, TraceLevel};
 use hostsim::{Cpu, JobToken, LaneId};
 use netsim::{CloseKind, ConnId, Connection, FlowId, PsLink};
 use obs::{EndReason, GaugeKind, Obs, Span, Stage};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use workload::{FileId, FileSet};
 
 /// Events of the testbed model.
 #[derive(Debug)]
 pub enum Ev {
-    /// A client machine brings one emulated client online.
-    ClientArrive(ClientId),
-    /// The client issues a (new) SYN now.
-    ClientConnect(ClientId),
+    /// A client-side event (see [`ClientEv`]).
+    Client(ClientEv),
     /// A SYN reached the server NIC.
     SynAtServer(ConnId),
-    /// The client retransmits a dropped SYN.
-    SynRetry(ConnId),
-    /// The SYN-ACK reached the client: connection established.
-    EstablishedAtClient(ConnId),
-    /// An RST reached the client.
-    ResetAtClient(ConnId),
     /// A burst of pipelined requests reached the server.
     RequestsAtServer(ConnId, Vec<FileId>),
-    /// The client's think timer expired.
-    ClientThinkDone(ClientId),
-    /// The client's 10 s socket timeout expired.
-    ClientTimeout(ClientId),
     /// A CPU job finished.
     CpuDone(JobToken),
-    /// The earliest flow on link `i` completes around now.
-    LinkTick(usize),
     /// The threaded server's inactivity timer fired for a connection.
     ServerIdleClose(ConnId),
     /// Periodic instability injection for oversized thread pools.
@@ -68,8 +58,6 @@ pub enum Ev {
     FaultBegin(usize),
     /// Fault plan: event `i` of the plan clears.
     FaultEnd(usize),
-    /// An explicit refusal (RST to a connecting client) reached the client.
-    RefusedAtClient(ConnId),
     /// Graceful drain begins: stop accepting, finish in-flight work.
     DrainStart,
     /// Drain deadline: whatever is still in flight is aborted and counted.
@@ -81,6 +69,12 @@ pub enum Ev {
     ObsSample,
     /// Run horizon.
     EndRun,
+}
+
+impl From<ClientEv> for Ev {
+    fn from(ev: ClientEv) -> Ev {
+        Ev::Client(ev)
+    }
 }
 
 /// CPU job payloads.
@@ -104,32 +98,9 @@ enum Job {
     Stall,
 }
 
-/// Per-client runtime bookkeeping (timers and the current connection).
-#[derive(Debug, Default)]
-struct ClientRt {
-    conn: Option<ConnId>,
-    timeout_ev: Option<EventId>,
-    think_ev: Option<EventId>,
-    connect_ev: Option<EventId>,
-}
-
-/// What a reply flow is carrying.
-#[derive(Debug)]
-enum FlowKind {
-    Reply { conn: ConnId, body_bytes: u64 },
-    /// Handshake/teardown packet overhead (consumes bandwidth, delivers
-    /// nothing).
-    Overhead,
-}
-
-#[derive(Debug)]
-struct FlowRec {
-    kind: FlowKind,
-}
-
 /// Per-connection record, server side.
 #[derive(Debug)]
-struct ConnRec {
+pub(crate) struct ConnRec {
     client: ClientId,
     net: Connection,
     link: usize,
@@ -165,14 +136,11 @@ enum ServerModel {
 pub struct Testbed {
     cfg: TestbedConfig,
     files: FileSet,
-    clients: Vec<Client>,
-    rt: Vec<ClientRt>,
+    driver: ClientDriver,
     pub metrics: ClientMetrics,
     conns: ConnTable<ConnRec>,
-    flows: HashMap<FlowId, FlowRec>,
-    next_flow: u64,
-    links: Vec<PsLink>,
-    link_ev: Vec<Option<EventId>>,
+    /// Reply flows carry `(conn, body bytes)`.
+    flows: FlowTable<(ConnId, u64)>,
     cpu: Cpu<Job>,
     kernel_lane: LaneId,
     acceptor_lane: LaneId,
@@ -231,13 +199,14 @@ impl Testbed {
         assert!(cfg.num_clients > 0, "need at least one client");
         let mut build_rng = Rng::new(cfg.seed ^ 0x5EED_F11E);
         let files = FileSet::build(&cfg.surge, &mut build_rng);
-        let client_root = Rng::new(cfg.seed ^ 0xC11E_17A5);
-        let clients: Vec<Client> = (0..cfg.num_clients)
-            .map(|i| Client::new(ClientId(i), cfg.client.clone(), &files, &client_root))
-            .collect();
-        let rt = (0..cfg.num_clients).map(|_| ClientRt::default()).collect();
+        let driver = ClientDriver::new(
+            cfg.num_clients,
+            &cfg.client,
+            &files,
+            cfg.seed,
+            cfg.connection_overhead_bytes,
+        );
         let links: Vec<PsLink> = cfg.links.iter().map(|&l| PsLink::new(l)).collect();
-        let link_ev = vec![None; links.len()];
         let mut cpu = Cpu::new(cfg.num_cpus);
         let kernel_lane = cpu.add_lane(cfg.num_cpus);
         let acceptor_lane = cpu.add_lane(1);
@@ -296,14 +265,10 @@ impl Testbed {
         Testbed {
             cfg,
             files,
-            clients,
-            rt,
+            driver,
             metrics,
             conns: ConnTable::new(),
-            flows: HashMap::new(),
-            next_flow: 0,
-            links,
-            link_ev,
+            flows: FlowTable::new(links),
             cpu,
             kernel_lane,
             acceptor_lane,
@@ -372,48 +337,20 @@ impl Testbed {
 
     /// Total bytes the links delivered.
     pub fn link_bytes_delivered(&self) -> f64 {
-        self.links.iter().map(|l| l.bytes_delivered).sum()
+        self.flows.links.iter().map(|l| l.bytes_delivered).sum()
     }
 
     // ------------------------------------------------------------------
     // helpers
     // ------------------------------------------------------------------
 
-    fn link_of_client(&self, cid: ClientId) -> usize {
-        cid.0 as usize % self.links.len()
-    }
-
-    fn latency(&self, link: usize) -> SimDuration {
-        self.links[link].config().latency
+    fn link_latency(&self, link: usize) -> SimDuration {
+        self.flows.links[link].config().latency
     }
 
     fn reply_wire_bytes(&self, file: FileId) -> u64 {
         let body = self.files.size_of(file) + self.cfg.reply_header_bytes;
         (body as f64 * self.cfg.wire_overhead) as u64
-    }
-
-    fn arm_client_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, cid: ClientId) {
-        if let Some(old) = self.rt[cid.0 as usize].timeout_ev.take() {
-            ctx.cancel(old);
-        }
-        let d = self.clients[cid.0 as usize].timeout();
-        self.rt[cid.0 as usize].timeout_ev = Some(ctx.schedule_in(d, Ev::ClientTimeout(cid)));
-    }
-
-    fn disarm_client_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, cid: ClientId) {
-        if let Some(ev) = self.rt[cid.0 as usize].timeout_ev.take() {
-            ctx.cancel(ev);
-        }
-    }
-
-    /// Reschedule link `li`'s next-completion event.
-    fn resched_link(&mut self, ctx: &mut Ctx<'_, Ev>, li: usize) {
-        if let Some(old) = self.link_ev[li].take() {
-            ctx.cancel(old);
-        }
-        if let Some((t, _)) = self.links[li].next_completion(ctx.now()) {
-            self.link_ev[li] = Some(ctx.schedule_at(t.max(ctx.now()), Ev::LinkTick(li)));
-        }
     }
 
     /// Recompute one connection's busy state and fold the delta into the
@@ -484,8 +421,8 @@ impl Testbed {
         self.syns_refused += 1;
         let service = self.cfg.costs.reject_service(self.cfg.num_cpus);
         self.submit_cpu(ctx, self.kernel_lane, service, Job::Reject);
-        let lat = self.latency(self.conns[&conn].link);
-        ctx.schedule_in(lat, Ev::RefusedAtClient(conn));
+        let lat = self.link_latency(self.conns[&conn].link);
+        ctx.schedule_in(lat, ClientEv::RefusedAtClient(conn).into());
     }
 
     /// Load-shedding check: is the admission watermark crossed right now?
@@ -501,55 +438,6 @@ impl Testbed {
             ServerModel::Event(_) | ServerModel::Staged(_) => self.cpu.queued_total() as u64,
         };
         pressure >= w
-    }
-
-    /// Open a new connection for `cid` and fire its SYN.
-    fn do_connect(&mut self, ctx: &mut Ctx<'_, Ev>, cid: ClientId) {
-        let link = self.link_of_client(cid);
-        let now = ctx.now();
-        let conn = self.conns.insert_with(|conn| ConnRec {
-            client: cid,
-            net: Connection::open(conn, now),
-            link,
-            req_queue: VecDeque::new(),
-            cpu_busy: false,
-            pipeline: VecDeque::new(),
-            active_flow: None,
-            idle_ev: None,
-            thread_bound: false,
-            pending_jobs: 0,
-            busy: false,
-        });
-        self.peak_open_conns = self.peak_open_conns.max(self.conns.len());
-        if self.trace.wants(TraceLevel::Debug) {
-            self.trace.emit(
-                ctx.now(),
-                TraceLevel::Debug,
-                format!("client {} opens conn {} (SYN)", cid.0, conn.0),
-            );
-        }
-        self.rt[cid.0 as usize].conn = Some(conn);
-        self.arm_client_timeout(ctx, cid);
-        // Handshake packets consume link bandwidth.
-        self.start_overhead_flow(ctx, link, self.cfg.connection_overhead_bytes);
-        let lat = self.latency(link);
-        ctx.schedule_in(lat, Ev::SynAtServer(conn));
-    }
-
-    fn start_overhead_flow(&mut self, ctx: &mut Ctx<'_, Ev>, link: usize, bytes: f64) {
-        if bytes <= 0.0 {
-            return;
-        }
-        self.next_flow += 1;
-        let fid = FlowId(self.next_flow);
-        self.flows.insert(
-            fid,
-            FlowRec {
-                kind: FlowKind::Overhead,
-            },
-        );
-        self.links[link].start_flow(ctx.now(), fid, bytes);
-        self.resched_link(ctx, link);
     }
 
     /// Start the next queued reply flow on `conn`, if idle.
@@ -575,22 +463,12 @@ impl Testbed {
         let Some(bytes) = rec.pipeline.pop_front() else {
             return;
         };
-        self.next_flow += 1;
-        let fid = FlowId(self.next_flow);
-        rec.active_flow = Some(fid);
         let link = rec.link;
-        let body = bytes;
-        self.flows.insert(
-            fid,
-            FlowRec {
-                kind: FlowKind::Reply {
-                    conn,
-                    body_bytes: body,
-                },
-            },
-        );
-        self.links[link].start_flow(ctx.now(), fid, bytes as f64);
-        self.resched_link(ctx, link);
+        let fid = self
+            .flows
+            .open(ctx.now(), link, bytes as f64, Some((conn, bytes)));
+        rec.active_flow = Some(fid);
+        self.flows.resched(ctx, link);
     }
 
     /// Threaded server: give the bound thread its next request if it is
@@ -688,8 +566,114 @@ impl Testbed {
         }
     }
 
-    /// Tear down a connection from the client side (abort or clean close).
-    fn close_conn_client_side(&mut self, ctx: &mut Ctx<'_, Ev>, conn: ConnId, kind: CloseKind) {
+    /// One periodic gauge sweep: CPU queues, server occupancy/backlog,
+    /// selector population, link load, open connections.
+    fn sample_gauges(&mut self, now: SimTime) {
+        let t = now.as_nanos();
+        let g = &mut self.obs.gauges;
+        g.push(t, GaugeKind::RunQueueDepth, self.cpu.queued_total() as f64);
+        g.push(t, GaugeKind::CpuRunning, self.cpu.running_total() as f64);
+        g.push(t, GaugeKind::OpenConns, self.conns.len() as f64);
+        let mut util = 0.0;
+        let mut flows = 0usize;
+        let links = &self.flows.links;
+        for l in links {
+            let lg = l.gauges();
+            util += lg.utilisation;
+            flows += lg.active_flows;
+        }
+        g.push(t, GaugeKind::LinkUtilisation, util / links.len() as f64);
+        g.push(t, GaugeKind::ActiveFlows, flows as f64);
+        match &self.server {
+            ServerModel::Threaded(s) => {
+                g.push(t, GaugeKind::ThreadPoolOccupancy, s.threads_in_use() as f64);
+                g.push(t, GaugeKind::AcceptBacklog, s.backlog_len() as f64);
+            }
+            ServerModel::Event(e) | ServerModel::Staged(e) => {
+                g.push(t, GaugeKind::RegisteredConns, e.registered_count() as f64);
+                g.push(t, GaugeKind::AcceptBacklog, e.pending_accepts() as f64);
+                // The selector's ready set at this instant: registered
+                // connections with server-side work in flight. Read from
+                // the incrementally maintained counter — a sample must not
+                // cost a scan of every idle registration (the very effect
+                // the ready-set gauge exists to expose).
+                g.push(t, GaugeKind::ReadySetSize, self.busy_conns as f64);
+            }
+        }
+    }
+}
+
+impl ClientConn for ConnRec {
+    fn client(&self) -> ClientId {
+        self.client
+    }
+    fn net(&self) -> &Connection {
+        &self.net
+    }
+    fn net_mut(&mut self) -> &mut Connection {
+        &mut self.net
+    }
+    fn unreferenced(&self) -> bool {
+        self.pending_jobs == 0 && self.active_flow.is_none()
+    }
+}
+
+impl ClientHost for Testbed {
+    type Ev = Ev;
+    type Conn = ConnRec;
+    type Reply = (ConnId, u64);
+
+    fn parts(&mut self) -> Parts<'_, ConnRec, (ConnId, u64)> {
+        Parts {
+            driver: &mut self.driver,
+            conns: &mut self.conns,
+            flows: &mut self.flows,
+            files: &self.files,
+            metrics: &mut self.metrics,
+            stale_events: &mut self.stale_events,
+        }
+    }
+
+    fn open_conn(&mut self, now: SimTime, cid: ClientId) -> ConnId {
+        // Clients are spread round-robin across the links.
+        let link = cid.0 as usize % self.flows.links.len();
+        let conn = self.conns.insert_with(|conn| ConnRec {
+            client: cid,
+            net: Connection::open(conn, now),
+            link,
+            req_queue: VecDeque::new(),
+            cpu_busy: false,
+            pipeline: VecDeque::new(),
+            active_flow: None,
+            idle_ev: None,
+            thread_bound: false,
+            pending_jobs: 0,
+            busy: false,
+        });
+        self.peak_open_conns = self.peak_open_conns.max(self.conns.len());
+        if self.trace.wants(TraceLevel::Debug) {
+            self.trace.emit(
+                now,
+                TraceLevel::Debug,
+                format!("client {} opens conn {} (SYN)", cid.0, conn.0),
+            );
+        }
+        conn
+    }
+
+    fn syn(conn: ConnId) -> Ev {
+        Ev::SynAtServer(conn)
+    }
+
+    fn link(&self, conn: ConnId) -> usize {
+        self.conns[&conn].link
+    }
+
+    fn latency(&self, conn: ConnId) -> SimDuration {
+        self.link_latency(self.conns[&conn].link)
+    }
+
+    fn close_client_side(&mut self, ctx: &mut Ctx<'_, Ev>, conn: ConnId, kind: CloseKind) {
         let Some(rec) = self.conns.get_mut(&conn) else {
             return;
         };
@@ -724,9 +708,8 @@ impl Testbed {
         let link = rec.link;
         let active = rec.active_flow.take();
         if let Some(fid) = active {
-            self.links[link].cancel_flow(ctx.now(), fid);
-            self.flows.remove(&fid);
-            self.resched_link(ctx, link);
+            self.flows.cancel(ctx.now(), link, fid);
+            self.flows.resched(ctx, link);
         }
         match &mut self.server {
             ServerModel::Threaded(t) => {
@@ -742,111 +725,21 @@ impl Testbed {
             }
         }
         // Teardown packets also burn bandwidth.
-        self.start_overhead_flow(ctx, link, self.cfg.connection_overhead_bytes * 0.5);
+        let bytes = self.cfg.connection_overhead_bytes * 0.5;
+        self.flows.start_overhead_flow(ctx, link, bytes);
         self.refresh_busy(conn);
-        self.maybe_gc(conn);
+        client::maybe_gc(self, conn);
     }
 
-    /// Drop the record once nothing references it any more.
-    fn maybe_gc(&mut self, conn: ConnId) {
-        let Some(rec) = self.conns.get(&conn) else {
-            return;
-        };
-        let closed = matches!(rec.net.state, netsim::ConnState::Closed(_));
-        let current = self.rt[rec.client.0 as usize].conn == Some(conn);
-        if closed && rec.pending_jobs == 0 && rec.active_flow.is_none() && !current {
-            if let Some(rec) = self.conns.remove(&conn) {
-                if rec.busy {
-                    self.busy_conns -= 1;
-                }
-            }
-        }
+    fn loris_clients(&self, _conn: ConnId) -> u32 {
+        self.loris_clients
     }
 
-    /// Execute a client action returned by the state machine.
-    fn run_client_action(&mut self, ctx: &mut Ctx<'_, Ev>, cid: ClientId, action: ClientAction) {
-        match action {
-            ClientAction::Connect => self.do_connect(ctx, cid),
-            ClientAction::ConnectAfter(d) => {
-                let ev = ctx.schedule_in(d, Ev::ClientConnect(cid));
-                self.rt[cid.0 as usize].connect_ev = Some(ev);
-            }
-            ClientAction::SendBurst(files) => {
-                let conn = self.rt[cid.0 as usize]
-                    .conn
-                    .expect("burst with no connection");
-                self.arm_client_timeout(ctx, cid);
-                // Request lifetimes start at the client's send instant (the
-                // anchor `record_reply` measures response time from). The
-                // first stage covers transit + server queueing + parse.
-                if self.obs.on() {
-                    let t = ctx.now().as_nanos();
-                    for _ in &files {
-                        self.obs.requests.begin(conn.0, t, Stage::Parse);
-                    }
-                }
-                let link = self.conns[&conn].link;
-                let mut lat = self.latency(link);
-                // Slow-loris window: afflicted clients trickle their request
-                // bytes, so the burst takes seconds to fully arrive. The
-                // stagger is a pure function of the client id — determinism
-                // is preserved.
-                if self.loris_clients > 0 && cid.0 < self.loris_clients {
-                    lat += SimDuration::from_millis(2_000 + (cid.0 as u64 % 7) * 250);
-                }
-                ctx.schedule_in(lat, Ev::RequestsAtServer(conn, files));
-            }
-            ClientAction::Think(d) => {
-                let ev = ctx.schedule_in(d, Ev::ClientThinkDone(cid));
-                self.rt[cid.0 as usize].think_ev = Some(ev);
-            }
-            ClientAction::CloseThenConnect => {
-                if let Some(conn) = self.rt[cid.0 as usize].conn.take() {
-                    self.close_conn_client_side(ctx, conn, CloseKind::ClientFin);
-                    self.maybe_gc(conn);
-                }
-                self.do_connect(ctx, cid);
-            }
-        }
+    fn burst(conn: ConnId, files: Vec<FileId>) -> Ev {
+        Ev::RequestsAtServer(conn, files)
     }
 
-    /// One periodic gauge sweep: CPU queues, server occupancy/backlog,
-    /// selector population, link load, open connections.
-    fn sample_gauges(&mut self, now: SimTime) {
-        let t = now.as_nanos();
-        let g = &mut self.obs.gauges;
-        g.push(t, GaugeKind::RunQueueDepth, self.cpu.queued_total() as f64);
-        g.push(t, GaugeKind::CpuRunning, self.cpu.running_total() as f64);
-        g.push(t, GaugeKind::OpenConns, self.conns.len() as f64);
-        let mut util = 0.0;
-        let mut flows = 0usize;
-        for l in &self.links {
-            let lg = l.gauges();
-            util += lg.utilisation;
-            flows += lg.active_flows;
-        }
-        g.push(t, GaugeKind::LinkUtilisation, util / self.links.len() as f64);
-        g.push(t, GaugeKind::ActiveFlows, flows as f64);
-        match &self.server {
-            ServerModel::Threaded(s) => {
-                g.push(t, GaugeKind::ThreadPoolOccupancy, s.threads_in_use() as f64);
-                g.push(t, GaugeKind::AcceptBacklog, s.backlog_len() as f64);
-            }
-            ServerModel::Event(e) | ServerModel::Staged(e) => {
-                g.push(t, GaugeKind::RegisteredConns, e.registered_count() as f64);
-                g.push(t, GaugeKind::AcceptBacklog, e.pending_accepts() as f64);
-                // The selector's ready set at this instant: registered
-                // connections with server-side work in flight. Read from
-                // the incrementally maintained counter — a sample must not
-                // cost a scan of every idle registration (the very effect
-                // the ready-set gauge exists to expose).
-                g.push(t, GaugeKind::ReadySetSize, self.busy_conns as f64);
-            }
-        }
-    }
-
-    /// Handle a completed reply flow.
-    fn on_reply_flow_done(&mut self, ctx: &mut Ctx<'_, Ev>, conn: ConnId, body_bytes: u64) {
+    fn reply_done(&mut self, ctx: &mut Ctx<'_, Ev>, (conn, body_bytes): (ConnId, u64)) {
         let Some(rec) = self.conns.get_mut(&conn) else {
             return;
         };
@@ -862,26 +755,69 @@ impl Testbed {
                 .requests
                 .finish_next(conn.0, ctx.now().as_nanos(), EndReason::Done);
         }
-        // Deliver to the client.
-        self.disarm_client_timeout(ctx, cid);
-        let action = {
-            let client = &mut self.clients[cid.0 as usize];
-            client.on_reply(ctx.now(), body_bytes, &self.files, &mut self.metrics)
-        };
-        match action {
-            None => {
-                // More replies of the same burst still outstanding.
-                self.arm_client_timeout(ctx, cid);
-            }
-            Some(a) => self.run_client_action(ctx, cid, a),
-        }
+        client::deliver_reply(self, ctx, cid, body_bytes);
         // Server side: continue this connection's output, or go idle.
         self.try_start_flow(ctx, conn);
         if matches!(self.server, ServerModel::Threaded(_)) {
             self.pump_threaded(ctx, conn);
         }
         self.maybe_arm_idle(ctx, conn);
-        self.maybe_gc(conn);
+        client::maybe_gc(self, conn);
+    }
+
+    fn observe(&mut self, now: SimTime, what: ClientObs) {
+        if let ClientObs::Timeout { cid } = what {
+            if self.trace.wants(TraceLevel::Info) {
+                self.trace.emit(
+                    now,
+                    TraceLevel::Info,
+                    format!("client {} hits its socket timeout", cid.0),
+                );
+            }
+            return;
+        }
+        if !self.obs.on() {
+            return;
+        }
+        let t = now.as_nanos();
+        match what {
+            // Request lifetimes start at the client's send instant (the
+            // anchor `record_reply` measures response time from). The
+            // first stage covers transit + server queueing + parse.
+            ClientObs::Burst { conn, requests } => {
+                for _ in 0..requests {
+                    self.obs.requests.begin(conn.0, t, Stage::Parse);
+                }
+            }
+            ClientObs::Connected { conn, since } => self.obs.spans.push(Span {
+                conn: conn.0,
+                req: None,
+                stage: Stage::ConnectWait,
+                start_ns: since.as_nanos(),
+                end_ns: t,
+            }),
+            ClientObs::Reset { conn } => {
+                self.obs.requests.finish_all(conn.0, t, EndReason::Reset);
+            }
+            // The refused attempt shows up in the capture as a one-stage
+            // request: the whole life of the attempt was connect-wait.
+            ClientObs::Refused { conn, since } => {
+                let requests = &mut self.obs.requests;
+                requests.begin(conn.0, since.as_nanos(), Stage::ConnectWait);
+                requests.finish_next(conn.0, t, EndReason::Refused);
+            }
+            ClientObs::Timeout { .. } => {}
+        }
+    }
+
+    fn conn_changed(&mut self, conn: ConnId) {
+        self.refresh_busy(conn);
+    }
+
+    fn dropped(&mut self, rec: ConnRec) {
+        if rec.busy {
+            self.busy_conns -= 1;
+        }
     }
 }
 
@@ -890,15 +826,7 @@ impl Model for Testbed {
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
         match ev {
-            Ev::ClientArrive(cid) => {
-                let action = self.clients[cid.0 as usize].on_start(ctx.now());
-                self.run_client_action(ctx, cid, action);
-            }
-
-            Ev::ClientConnect(cid) => {
-                self.rt[cid.0 as usize].connect_ev = None;
-                self.do_connect(ctx, cid);
-            }
+            Ev::Client(ev) => client::handle(self, ctx, ev),
 
             Ev::SynAtServer(conn) => {
                 let alive = self
@@ -914,8 +842,8 @@ impl Model for Testbed {
                 // the SYN goes unanswered exactly like a silent drop and
                 // the client's retransmit timer fires.
                 if self.accepts_stalled {
-                    let retry = self.clients[self.conns[&conn].client.0 as usize].syn_retry();
-                    ctx.schedule_in(retry, Ev::SynRetry(conn));
+                    let retry = self.driver.client(self.conns[&conn].client).syn_retry();
+                    ctx.schedule_in(retry, ClientEv::SynRetry(conn).into());
                     return;
                 }
                 // Overload control: refuse explicitly while draining, while
@@ -945,10 +873,8 @@ impl Model for Testbed {
                         SynOutcome::Dropped => {
                             let service = self.cfg.costs.reject_service(cpus);
                             self.submit_cpu(ctx, self.kernel_lane, service, Job::Reject);
-                            let retry = self.clients
-                                [self.conns[&conn].client.0 as usize]
-                                .syn_retry();
-                            ctx.schedule_in(retry, Ev::SynRetry(conn));
+                            let retry = self.driver.client(self.conns[&conn].client).syn_retry();
+                            ctx.schedule_in(retry, ClientEv::SynRetry(conn).into());
                         }
                         SynOutcome::Refused => self.refuse_syn(ctx, conn),
                     },
@@ -969,94 +895,12 @@ impl Model for Testbed {
                         AcceptOutcome::Dropped => {
                             let service = self.cfg.costs.reject_service(cpus);
                             self.submit_cpu(ctx, self.kernel_lane, service, Job::Reject);
-                            let retry = self.clients
-                                [self.conns[&conn].client.0 as usize]
-                                .syn_retry();
-                            ctx.schedule_in(retry, Ev::SynRetry(conn));
+                            let retry = self.driver.client(self.conns[&conn].client).syn_retry();
+                            ctx.schedule_in(retry, ClientEv::SynRetry(conn).into());
                         }
                         AcceptOutcome::Refused => self.refuse_syn(ctx, conn),
                     },
                 }
-            }
-
-            Ev::SynRetry(conn) => {
-                let alive = self
-                    .conns
-                    .get(&conn)
-                    .map(|r| matches!(r.net.state, netsim::ConnState::Connecting))
-                    .unwrap_or(false);
-                if !alive {
-                    self.stale_events += 1;
-                    return;
-                }
-                let link = self.conns[&conn].link;
-                // The retransmitted SYN also burns handshake bytes.
-                self.start_overhead_flow(ctx, link, self.cfg.connection_overhead_bytes * 0.25);
-                let lat = self.latency(link);
-                ctx.schedule_in(lat, Ev::SynAtServer(conn));
-            }
-
-            Ev::EstablishedAtClient(conn) => {
-                let Some(rec) = self.conns.get_mut(&conn) else {
-                    self.stale_events += 1;
-                    return;
-                };
-                let cid = rec.client;
-                if !matches!(rec.net.state, netsim::ConnState::Connecting)
-                    || self.rt[cid.0 as usize].conn != Some(conn)
-                {
-                    self.stale_events += 1;
-                    return;
-                }
-                rec.net.establish(ctx.now());
-                let opened_ns = rec.net.opened_at.as_nanos();
-                // Connect-wait span anchored where the client's figure-4
-                // connection-time metric is anchored (read before
-                // `on_connected` clears it).
-                if self.obs.on() {
-                    let start_ns = self.clients[cid.0 as usize]
-                        .connecting_since()
-                        .map(|t| t.as_nanos())
-                        .unwrap_or(opened_ns);
-                    self.obs.spans.push(Span {
-                        conn: conn.0,
-                        req: None,
-                        stage: Stage::ConnectWait,
-                        start_ns,
-                        end_ns: ctx.now().as_nanos(),
-                    });
-                }
-                self.refresh_busy(conn);
-                let action = {
-                    let client = &mut self.clients[cid.0 as usize];
-                    client.on_connected(ctx.now(), &mut self.metrics)
-                };
-                self.run_client_action(ctx, cid, action);
-            }
-
-            Ev::ResetAtClient(conn) => {
-                let Some(rec) = self.conns.get(&conn) else {
-                    self.stale_events += 1;
-                    return;
-                };
-                let cid = rec.client;
-                if self.rt[cid.0 as usize].conn != Some(conn) {
-                    self.stale_events += 1;
-                    return;
-                }
-                self.disarm_client_timeout(ctx, cid);
-                self.rt[cid.0 as usize].conn = None;
-                if self.obs.on() {
-                    self.obs
-                        .requests
-                        .finish_all(conn.0, ctx.now().as_nanos(), EndReason::Reset);
-                }
-                let action = {
-                    let client = &mut self.clients[cid.0 as usize];
-                    client.on_reset(ctx.now(), &self.files, &mut self.metrics)
-                };
-                self.maybe_gc(conn);
-                self.run_client_action(ctx, cid, action);
             }
 
             Ev::RequestsAtServer(conn, files) => {
@@ -1088,8 +932,8 @@ impl Model for Testbed {
                     Disposition::Reset(link) => {
                         // Server idle-closed while the client was thinking:
                         // the request data hits a dead socket; RST goes back.
-                        let lat = self.latency(link);
-                        ctx.schedule_in(lat, Ev::ResetAtClient(conn));
+                        let lat = self.link_latency(link);
+                        ctx.schedule_in(lat, ClientEv::ResetAtClient(conn).into());
                         return;
                     }
                     Disposition::Deliver => {}
@@ -1137,35 +981,6 @@ impl Model for Testbed {
                         }
                     }
                 }
-            }
-
-            Ev::ClientThinkDone(cid) => {
-                self.rt[cid.0 as usize].think_ev = None;
-                let action = {
-                    let client = &mut self.clients[cid.0 as usize];
-                    client.on_think_done(ctx.now(), &mut self.metrics)
-                };
-                self.run_client_action(ctx, cid, action);
-            }
-
-            Ev::ClientTimeout(cid) => {
-                if self.trace.wants(TraceLevel::Info) {
-                    self.trace.emit(
-                        ctx.now(),
-                        TraceLevel::Info,
-                        format!("client {} hits its socket timeout", cid.0),
-                    );
-                }
-                self.rt[cid.0 as usize].timeout_ev = None;
-                if let Some(conn) = self.rt[cid.0 as usize].conn.take() {
-                    self.close_conn_client_side(ctx, conn, CloseKind::ClientAbort);
-                    self.maybe_gc(conn);
-                }
-                let action = {
-                    let client = &mut self.clients[cid.0 as usize];
-                    client.on_timeout(ctx.now(), &self.files, &mut self.metrics)
-                };
-                self.run_client_action(ctx, cid, action);
             }
 
             Ev::CpuDone(token) => {
@@ -1225,8 +1040,8 @@ impl Model for Testbed {
                                     end_ns,
                                 });
                             }
-                            let lat = self.latency(self.conns[&conn].link);
-                            ctx.schedule_in(lat, Ev::EstablishedAtClient(conn));
+                            let lat = self.link_latency(self.conns[&conn].link);
+                            ctx.schedule_in(lat, ClientEv::EstablishedAtClient(conn).into());
                         } else {
                             // Client gave up while the accept was queued.
                             if matches!(self.server, ServerModel::Threaded(_)) {
@@ -1234,7 +1049,7 @@ impl Model for Testbed {
                                 // marked) must be released.
                                 self.free_thread(ctx, conn);
                             }
-                            self.maybe_gc(conn);
+                            client::maybe_gc(self, conn);
                         }
                     }
                     Job::ThreadedRequest { conn, reply_bytes } => {
@@ -1245,7 +1060,7 @@ impl Model for Testbed {
                                 self.try_start_flow(ctx, conn);
                             }
                         }
-                        self.maybe_gc(conn);
+                        client::maybe_gc(self, conn);
                     }
                     Job::EventParse { conn, reply_bytes } => {
                         let alive = self
@@ -1270,7 +1085,7 @@ impl Model for Testbed {
                                 Job::EventKernel { conn, reply_bytes },
                             );
                         } else {
-                            self.maybe_gc(conn);
+                            client::maybe_gc(self, conn);
                         }
                     }
                     Job::EventKernel { conn, reply_bytes } => {
@@ -1280,7 +1095,7 @@ impl Model for Testbed {
                                 self.try_start_flow(ctx, conn);
                             }
                         }
-                        self.maybe_gc(conn);
+                        client::maybe_gc(self, conn);
                     }
                     Job::StageParse { conn, reply_bytes } => {
                         let alive = self
@@ -1300,7 +1115,7 @@ impl Model for Testbed {
                                 Job::StageSend { conn, reply_bytes },
                             );
                         } else {
-                            self.maybe_gc(conn);
+                            client::maybe_gc(self, conn);
                         }
                     }
                     Job::StageSend { conn, reply_bytes } => {
@@ -1310,36 +1125,10 @@ impl Model for Testbed {
                                 self.try_start_flow(ctx, conn);
                             }
                         }
-                        self.maybe_gc(conn);
+                        client::maybe_gc(self, conn);
                     }
                     Job::Reject | Job::Stall => {}
                 }
-            }
-
-            Ev::LinkTick(li) => {
-                self.link_ev[li] = None;
-                // Complete every flow due by now (ties are common when
-                // several replies share the PS clock).
-                loop {
-                    match self.links[li].next_completion(ctx.now()) {
-                        Some((t, _)) if t <= ctx.now() => {
-                            let Some(fid) = self.links[li].complete_next(ctx.now()) else {
-                                break;
-                            };
-                            let Some(flow) = self.flows.remove(&fid) else {
-                                continue;
-                            };
-                            match flow.kind {
-                                FlowKind::Overhead => {}
-                                FlowKind::Reply { conn, body_bytes } => {
-                                    self.on_reply_flow_done(ctx, conn, body_bytes);
-                                }
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-                self.resched_link(ctx, li);
             }
 
             Ev::ServerIdleClose(conn) => {
@@ -1414,14 +1203,14 @@ impl Model for Testbed {
                 // handshake packets are lost in the noise of the fluid
                 // model; the timeout machinery produces the user-visible
                 // failures either way.
-                self.links[li].set_capacity(ctx.now(), 1e-3);
-                self.resched_link(ctx, li);
+                self.flows.links[li].set_capacity(ctx.now(), 1e-3);
+                self.flows.resched(ctx, li);
             }
 
             Ev::LinkUp(li) => {
                 let restored = self.cfg.links[li].capacity_bps;
-                self.links[li].set_capacity(ctx.now(), restored);
-                self.resched_link(ctx, li);
+                self.flows.links[li].set_capacity(ctx.now(), restored);
+                self.flows.resched(ctx, li);
             }
 
             Ev::FaultBegin(i) => {
@@ -1440,20 +1229,20 @@ impl Model for Testbed {
                 }
                 match ev.kind {
                     faults::FaultKind::LinkOutage { link } => {
-                        self.links[link].set_capacity(ctx.now(), 1e-3);
-                        self.resched_link(ctx, link);
+                        self.flows.links[link].set_capacity(ctx.now(), 1e-3);
+                        self.flows.resched(ctx, link);
                     }
                     faults::FaultKind::LinkDegrade {
                         link,
                         capacity_factor,
                     } => {
                         let base = self.cfg.links[link].capacity_bps;
-                        self.links[link].set_capacity(ctx.now(), base * capacity_factor);
-                        self.resched_link(ctx, link);
+                        self.flows.links[link].set_capacity(ctx.now(), base * capacity_factor);
+                        self.flows.resched(ctx, link);
                     }
                     faults::FaultKind::LatencyJitter { link, added_ns } => {
                         let base = self.cfg.links[link].latency;
-                        self.links[link]
+                        self.flows.links[link]
                             .set_latency(base + SimDuration::from_nanos(added_ns));
                     }
                     faults::FaultKind::WorkerCrash { fraction, .. } => {
@@ -1527,12 +1316,12 @@ impl Model for Testbed {
                     faults::FaultKind::LinkOutage { link }
                     | faults::FaultKind::LinkDegrade { link, .. } => {
                         let restored = self.cfg.links[link].capacity_bps;
-                        self.links[link].set_capacity(ctx.now(), restored);
-                        self.resched_link(ctx, link);
+                        self.flows.links[link].set_capacity(ctx.now(), restored);
+                        self.flows.resched(ctx, link);
                     }
                     faults::FaultKind::LatencyJitter { link, .. } => {
                         let base = self.cfg.links[link].latency;
-                        self.links[link].set_latency(base);
+                        self.flows.links[link].set_latency(base);
                     }
                     faults::FaultKind::ServerStall => {
                         self.accepts_stalled = false;
@@ -1585,51 +1374,6 @@ impl Model for Testbed {
                 }
             }
 
-            Ev::RefusedAtClient(conn) => {
-                let Some(rec) = self.conns.get(&conn) else {
-                    self.stale_events += 1;
-                    return;
-                };
-                let cid = rec.client;
-                if self.rt[cid.0 as usize].conn != Some(conn)
-                    || !matches!(rec.net.state, netsim::ConnState::Connecting)
-                {
-                    self.stale_events += 1;
-                    return;
-                }
-                let opened_ns = rec.net.opened_at.as_nanos();
-                self.conns
-                    .get_mut(&conn)
-                    .unwrap()
-                    .net
-                    .close(ctx.now(), CloseKind::ServerRefused);
-                self.disarm_client_timeout(ctx, cid);
-                self.rt[cid.0 as usize].conn = None;
-                // The refused attempt shows up in the capture as a one-stage
-                // request: the whole life of the attempt was connect-wait.
-                if self.obs.on() {
-                    let start_ns = self.clients[cid.0 as usize]
-                        .connecting_since()
-                        .map(|t| t.as_nanos())
-                        .unwrap_or(opened_ns);
-                    self.obs
-                        .requests
-                        .begin(conn.0, start_ns, Stage::ConnectWait);
-                    self.obs.requests.finish_next(
-                        conn.0,
-                        ctx.now().as_nanos(),
-                        EndReason::Refused,
-                    );
-                }
-                let action = {
-                    let client = &mut self.clients[cid.0 as usize];
-                    client.on_refused(ctx.now(), &self.files, &mut self.metrics)
-                };
-                self.refresh_busy(conn);
-                self.maybe_gc(conn);
-                self.run_client_action(ctx, cid, action);
-            }
-
             Ev::DrainStart => {
                 self.draining = true;
                 match &mut self.server {
@@ -1652,7 +1396,7 @@ impl Model for Testbed {
                     let Some(rec) = self.conns.get(&conn) else {
                         continue;
                     };
-                    let current = self.rt[rec.client.0 as usize].conn == Some(conn);
+                    let current = self.driver.is_current(rec.client, conn);
                     match rec.net.state {
                         netsim::ConnState::Connecting if current => {
                             self.refuse_syn(ctx, conn);
@@ -1681,9 +1425,8 @@ impl Model for Testbed {
                                     ctx.cancel(evh);
                                 }
                                 if let Some(fid) = rec.active_flow.take() {
-                                    self.links[link].cancel_flow(ctx.now(), fid);
-                                    self.flows.remove(&fid);
-                                    self.resched_link(ctx, link);
+                                    self.flows.cancel(ctx.now(), link, fid);
+                                    self.flows.resched(ctx, link);
                                 }
                                 self.free_thread(ctx, conn);
                                 if let ServerModel::Event(e) | ServerModel::Staged(e) =
@@ -1691,8 +1434,8 @@ impl Model for Testbed {
                                 {
                                     e.deregister(conn);
                                 }
-                                let lat = self.latency(link);
-                                ctx.schedule_in(lat, Ev::ResetAtClient(conn));
+                                let lat = self.link_latency(link);
+                                ctx.schedule_in(lat, ClientEv::ResetAtClient(conn).into());
                             } else {
                                 self.drain_drained += 1;
                                 let rec = self.conns.get_mut(&conn).unwrap();
@@ -1795,11 +1538,9 @@ pub fn run(cfg: TestbedConfig) -> Testbed {
         .on()
         .then(|| SimDuration::from_nanos(testbed.obs.sample_period_ns()));
     let mut engine = Engine::new(testbed, seed ^ 0xD15C_0DE5);
-    let mut arrival_rng = Rng::new(seed ^ 0xA55E_55ED);
-    for i in 0..n {
-        let at = SimTime::from_nanos(arrival_rng.below(ramp.as_nanos().max(1)));
-        engine.schedule_at(at, Ev::ClientArrive(ClientId(i)));
-    }
+    let mut arrivals = Rng::new(seed ^ 0xA55E_55ED);
+    let spread_ns = ramp.as_nanos().max(1);
+    client::schedule_arrivals(&mut engine, &mut arrivals, 0..n, SimTime::ZERO, spread_ns);
     if stall_possible {
         engine.schedule_at(SimTime::from_millis(500), Ev::StallTick);
     }
