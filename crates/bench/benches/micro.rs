@@ -1,12 +1,10 @@
-//! Microbenchmarks of the substrates: DES event queues, the
+//! Microbenchmarks of the substrates: the DES event queue, the
 //! processor-sharing link, histograms, the PRNG, SURGE sampling, and the
 //! real HTTP parser/writer. These pin the per-event costs the simulated
 //! experiments multiply by millions.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use desim::{
-    BinaryHeapQueue, CalendarQueue, EventQueue, Rng, Scheduled, SimDuration, SimTime, TimerWheel,
-};
+use desim::{BinaryHeapQueue, EventQueue, Rng, Scheduled, SimDuration, SimTime};
 use httpcore::{ParseOutcome, RequestParser};
 use metrics::Histogram;
 use netsim::{FlowId, LinkConfig, PsLink};
@@ -14,42 +12,30 @@ use workload::{Distribution, FileSet, LogNormal, SurgeConfig, Zipf};
 
 fn queue_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
-    type QueueFactory = fn() -> Box<dyn EventQueue<u64>>;
-    let backends: [(&str, QueueFactory); 3] = [
-        ("binary_heap", || Box::new(BinaryHeapQueue::new())),
-        ("calendar", || {
-            Box::new(CalendarQueue::with_buckets(256, 1_000_000))
-        }),
-        ("timer_wheel", || {
-            Box::new(TimerWheel::with_resolution(10_000))
-        }),
-    ];
-    for (name, make) in backends {
-        group.bench_function(format!("{name}_push_pop_10k"), |b| {
-            b.iter_batched(
-                || {
-                    let mut rng = Rng::new(1);
-                    let times: Vec<u64> = (0..10_000).map(|_| rng.below(100_000_000)).collect();
-                    (make(), times)
-                },
-                |(mut q, times)| {
-                    for (i, &t) in times.iter().enumerate() {
-                        q.push(Scheduled {
-                            time: SimTime::from_nanos(t),
-                            seq: i as u64,
-                            event: i as u64,
-                        });
-                    }
-                    let mut acc = 0u64;
-                    while let Some(e) = q.pop() {
-                        acc ^= e.event;
-                    }
-                    acc
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    group.bench_function("binary_heap_push_pop_10k", |b| {
+        b.iter_batched(
+            || {
+                let mut rng = Rng::new(1);
+                let times: Vec<u64> = (0..10_000).map(|_| rng.below(100_000_000)).collect();
+                (BinaryHeapQueue::new(), times)
+            },
+            |(mut q, times)| {
+                for (i, &t) in times.iter().enumerate() {
+                    q.push(Scheduled {
+                        time: SimTime::from_nanos(t),
+                        seq: i as u64,
+                        event: i as u64,
+                    });
+                }
+                let mut acc = 0u64;
+                while let Some(e) = q.pop() {
+                    acc ^= e.event;
+                }
+                acc
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

@@ -48,7 +48,7 @@ pub struct EngineStats {
 pub struct Ctx<'a, E> {
     now: SimTime,
     seq: &'a mut u64,
-    queue: &'a mut dyn EventQueue<E>,
+    queue: &'a mut BinaryHeapQueue<E>,
     cancelled: &'a mut HashSet<u64>,
     rng: &'a mut Rng,
     stats: &'a mut EngineStats,
@@ -141,12 +141,12 @@ pub enum RunOutcome {
     BudgetExhausted,
 }
 
-/// The discrete-event engine. Generic over the model and the pending-event
-/// set implementation (binary heap by default).
-pub struct Engine<M: Model, Q: EventQueue<<M as Model>::Event> = BinaryHeapQueue<<M as Model>::Event>> {
+/// The discrete-event engine over a model, with a binary-heap pending-event
+/// set.
+pub struct Engine<M: Model> {
     now: SimTime,
     seq: u64,
-    queue: Q,
+    queue: BinaryHeapQueue<M::Event>,
     cancelled: HashSet<u64>,
     rng: Rng,
     stats: EngineStats,
@@ -157,20 +157,13 @@ pub struct Engine<M: Model, Q: EventQueue<<M as Model>::Event> = BinaryHeapQueue
     event_budget: u64,
 }
 
-impl<M: Model> Engine<M, BinaryHeapQueue<M::Event>> {
-    /// Create an engine with the default binary-heap event list.
+impl<M: Model> Engine<M> {
+    /// Create an engine around `model`, its RNG seeded from `seed`.
     pub fn new(model: M, seed: u64) -> Self {
-        Engine::with_queue(model, seed, BinaryHeapQueue::new())
-    }
-}
-
-impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
-    /// Create an engine with an explicit pending-event set implementation.
-    pub fn with_queue(model: M, seed: u64, queue: Q) -> Self {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            queue,
+            queue: BinaryHeapQueue::new(),
             cancelled: HashSet::new(),
             rng: Rng::new(seed),
             stats: EngineStats::default(),

@@ -1,10 +1,9 @@
 //! Wall-clock hierarchical deadline wheel for per-connection timers.
 //!
-//! Same shape as the sim-side `desim::wheel::TimerWheel` (Varghese & Lauck
-//! hierarchy: a fine wheel of `SLOTS` buckets, then coarser wheels each
-//! `SLOTS`× wider, cascading on slot boundaries) so lifecycle policies are
-//! expressible identically in both layers. The differences are driven by the
-//! live servers' needs:
+//! A Varghese & Lauck hierarchy: a fine wheel of `SLOTS` buckets, then
+//! coarser wheels each `SLOTS`× wider, cascading on slot boundaries. The
+//! simulator keeps its timers on `desim`'s binary heap instead; the shape
+//! here is driven by the live servers' needs:
 //!
 //! - Time is `u64` nanoseconds since a caller-chosen epoch (the worker's
 //!   start `Instant`), not virtual `SimTime`.
